@@ -1,6 +1,6 @@
 //! The MBPTA-CV analysis pipeline (Abella et al., TODAES 2017).
 //!
-//! An alternative to the block-maxima process of [`crate::analyze`]: the
+//! An alternative to the block-maxima process of [`Pipeline::analyze`](crate::Pipeline::analyze): the
 //! residual coefficient of variation selects the exceedance threshold, and
 //! an exponential tail (GPD with ξ = 0) is fitted over it. MBPTA-CV needs
 //! no block-size parameter and refuses heavy-looking tails by
@@ -51,7 +51,7 @@ impl CvReport {
 ///
 /// # Errors
 ///
-/// * the same gate errors as [`crate::analyze`];
+/// * the same gate errors as [`Pipeline::analyze`](crate::Pipeline::analyze);
 /// * [`MbptaError::Stats`] with `NoConvergence` if no threshold has an
 ///   exponential-compatible residual CV (heavy tail — the method refuses
 ///   rather than underestimates).

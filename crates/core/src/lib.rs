@@ -30,9 +30,8 @@
 //! [`AnalysisSession`] demultiplexing a tagged
 //! measurement feed to one [`Engine`] per timing channel
 //! (per path / per core / per tenant) behind one result vocabulary
-//! ([`Verdict`]). [`Pipeline`] remains the one-shot
-//! object form; the `analyze`/`measure_and_analyze` free functions are
-//! deprecated shims over the session.
+//! ([`Verdict`]). [`Pipeline`] is the one-shot form
+//! ([`Pipeline::analyze`], [`Pipeline::measure_and_analyze`]).
 //!
 //! # Examples
 //!
@@ -60,7 +59,6 @@
 
 pub mod baseline;
 pub mod campaign;
-pub mod compat;
 pub mod confidence;
 pub mod convergence;
 pub mod cv;
@@ -83,10 +81,6 @@ pub use campaign::{Campaign, CampaignRunner};
 pub use config::{BlockSpec, MbptaConfig, SessionBuilder};
 pub use engine::{BatchEngine, BatchFactory, Engine, EngineEstimate, EngineFactory, Verdict};
 pub use error::MbptaError;
-// Every deprecated shim is defined (and tested) in [`compat`]; this is
-// the single re-export keeping the old import paths alive.
-#[allow(deprecated)]
-pub use compat::{analyze, measure_and_analyze};
 pub use pipeline::{MbptaReport, Pipeline};
 pub use pwcet::Pwcet;
 pub use report::{render_pwcet_csv, render_report, render_survival_csv};

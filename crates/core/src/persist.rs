@@ -38,6 +38,10 @@
 //! [`Engine::save_state`]: crate::engine::Engine::save_state
 //! [`EngineFactory::restore`]: crate::engine::EngineFactory::restore
 
+use std::fs::File;
+use std::io::{self, Write};
+use std::path::Path;
+
 use proxima_stats::descriptive::Summary;
 use proxima_stats::dist::{Gev, Gpd, Gumbel};
 use proxima_stats::evt::GofReport;
@@ -122,6 +126,39 @@ pub fn seal(magic: [u8; 4], payload: Vec<u8>) -> Vec<u8> {
     out.extend_from_slice(&payload);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
+}
+
+/// Replace the file at `path` with `bytes`, atomically and durably:
+/// write a sibling `<path>.tmp`, fsync it, rename it over `path`, then
+/// fsync the directory (best effort). A crash or power cut at any point
+/// leaves either the previous file or the new one, never a torn file.
+///
+/// # Errors
+///
+/// Any I/O error from creating, writing, syncing or renaming the
+/// temporary file; the previous file at `path` is then untouched.
+pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    // The rename only moves metadata: without flushing the data first, a
+    // power cut shortly after it could leave the new name pointing at an
+    // empty or partial file with the previous one gone.
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    // Persist the rename itself (not every platform can fsync a
+    // directory, hence best effort).
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    if let Ok(dir) = File::open(dir) {
+        let _ = dir.sync_all();
+    }
+    Ok(())
 }
 
 /// Open a sealed blob, returning the verified payload.
@@ -1110,6 +1147,44 @@ pub(crate) fn decode_batch_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fresh, empty scratch directory unique to this process and `tag`.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("proxima-persist-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn write_atomic_overwrites_with_exactly_the_new_bytes() {
+        let dir = scratch_dir("overwrite");
+        let path = dir.join("state.bin");
+        write_atomic(&path, b"the previous, longer contents").unwrap();
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["state.bin"], "no temporary file left behind");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_write_atomic_leaves_the_previous_file_intact() {
+        let dir = scratch_dir("failure");
+        let path = dir.join("state.bin");
+        write_atomic(&path, b"previous").unwrap();
+        // Into a missing directory.
+        assert!(write_atomic(dir.join("missing").join("state.bin"), b"new").is_err());
+        // Over the previous file, with the temporary path blocked.
+        std::fs::create_dir(dir.join("state.bin.tmp")).unwrap();
+        assert!(write_atomic(&path, b"new").is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"previous");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn seal_unseal_round_trip() {

@@ -41,8 +41,7 @@ impl MbptaReport {
 
 /// The classic batch pipeline over measured execution times:
 /// i.i.d. gate → block maxima → Gumbel fit → pWCET. Shared by
-/// [`Pipeline::analyze`], the session's `BatchEngine`, and the deprecated
-/// [`analyze`](crate::compat::analyze) shim.
+/// [`Pipeline::analyze`] and the session's `BatchEngine`.
 pub(crate) fn analyze_impl(times: &[f64], config: &MbptaConfig) -> Result<MbptaReport, MbptaError> {
     config.validate()?;
     if times.len() < config.min_runs {
@@ -69,13 +68,9 @@ pub(crate) fn analyze_impl(times: &[f64], config: &MbptaConfig) -> Result<MbptaR
     })
 }
 
-/// A configured MBPTA pipeline — the object form of the deprecated
-/// [`analyze`](crate::compat::analyze) /
-/// [`measure_and_analyze`](crate::compat::measure_and_analyze) shims,
-/// and the anchor the streaming crate hangs its
-/// entry point on (`proxima_stream::PipelineStreamExt` adds
-/// `Pipeline::stream()`, returning an incremental analyzer that shares
-/// this pipeline's block size and significance level).
+/// A configured MBPTA pipeline: the one-shot batch analysis of a single
+/// measurement vector. Multi-channel and streaming analyses go through
+/// [`Pipeline::session`] instead.
 ///
 /// # Examples
 ///
@@ -206,6 +201,28 @@ mod tests {
             analyze(&times, &MbptaConfig::default()),
             Err(MbptaError::CampaignTooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn measure_and_analyze_independent_of_jobs() {
+        use proxima_sim::PlatformConfig;
+
+        let trace: Vec<Inst> = (0..200)
+            .map(|i| Inst::load(0x100 + 4 * (i % 16), 0x10_0000 + 4096 * (i % 40)))
+            .collect();
+        let pipeline = Pipeline::new(MbptaConfig {
+            min_runs: 100,
+            ..MbptaConfig::default()
+        });
+        let runner = CampaignRunner::new(PlatformConfig::mbpta_compliant());
+        let serial = pipeline
+            .measure_and_analyze(&runner.clone().with_jobs(1), &trace, 400, 0)
+            .unwrap();
+        let parallel = pipeline
+            .measure_and_analyze(&runner.with_jobs(8), &trace, 400, 0)
+            .unwrap();
+        // Same measurements ⇒ same report, down to the pWCET parameters.
+        assert_eq!(serial, parallel);
     }
 
     #[test]

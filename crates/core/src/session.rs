@@ -1278,7 +1278,7 @@ impl<F: EngineFactory> ChannelHandle<'_, F> {
 }
 
 /// One channel's outcome in a merged session.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ChannelVerdict {
     /// The channel.
     pub channel: ChannelId,
@@ -1299,6 +1299,26 @@ pub struct SessionVerdict {
 }
 
 impl SessionVerdict {
+    /// Reassemble the verdict of a channel-partitioned session from its
+    /// parts: each part holds one partition's channels (every channel in
+    /// exactly one part), and `order` is the global first-seen channel
+    /// order. Channels are placed in `order`; a channel missing from it
+    /// (one that joined while the parts were being taken) is appended
+    /// after them, in part order. The envelope queries then fold exactly
+    /// as for one unpartitioned session — the fold-of-partials of
+    /// federated analysis.
+    pub fn from_parts<S: AsRef<str>>(order: &[S], parts: Vec<Vec<ChannelVerdict>>) -> Self {
+        let rank: BTreeMap<&str, usize> = order
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.as_ref(), i))
+            .collect();
+        let mut channels: Vec<ChannelVerdict> = parts.into_iter().flatten().collect();
+        // Stable: leftovers share the last rank and keep their part order.
+        channels.sort_by_key(|c| rank.get(c.channel.as_str()).copied().unwrap_or(usize::MAX));
+        SessionVerdict { channels }
+    }
+
     /// Per-channel outcomes, in first-seen channel order.
     pub fn channels(&self) -> &[ChannelVerdict] {
         &self.channels
@@ -1537,6 +1557,103 @@ mod tests {
         let curve = merged.envelope_curve(&[1e-6, 1e-9, 1e-12]).unwrap();
         assert!(curve[0].0 <= curve[1].0 && curve[1].0 <= curve[2].0);
         assert!(merged.high_watermark() >= 1.4e5);
+    }
+
+    /// A real verdict with its pWCET tail re-pinned at `mu`, so the
+    /// reassembly tests can dial in distinct (or tied) envelope budgets.
+    fn part(channel: &str, mu: f64) -> ChannelVerdict {
+        use crate::pwcet::Pwcet;
+        use proxima_stats::dist::Gumbel;
+        use std::sync::OnceLock;
+        static BASE: OnceLock<Verdict> = OnceLock::new();
+        let mut verdict = BASE
+            .get_or_init(|| {
+                let times = campaign(1e5, 1500, 1);
+                MbptaConfig::default().session().analyze(&times).unwrap()
+            })
+            .clone();
+        verdict.pwcet = Pwcet::new(Gumbel::new(mu, 10.0).unwrap(), 100);
+        ChannelVerdict {
+            channel: ChannelId::new(channel),
+            outcome: Ok(verdict),
+            dropped: 0,
+        }
+    }
+
+    fn failed(channel: &str, what: &'static str) -> ChannelVerdict {
+        ChannelVerdict {
+            channel: ChannelId::new(channel),
+            outcome: Err(MbptaError::InvalidConfig { what }),
+            dropped: 0,
+        }
+    }
+
+    fn names(merged: &SessionVerdict) -> Vec<&str> {
+        merged
+            .channels()
+            .iter()
+            .map(|c| c.channel.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn from_parts_keeps_global_order_and_max_budget() {
+        // Part 0 holds b (seen 2nd globally), part 1 holds a, c.
+        let parts = vec![
+            vec![part("b", 200.0)],
+            vec![part("a", 100.0), part("c", 150.0)],
+        ];
+        let merged = SessionVerdict::from_parts(&["a", "b", "c"], parts);
+        assert_eq!(names(&merged), ["a", "b", "c"], "global first-seen order");
+        let (winner, budget) = merged.envelope_budget(1e-12).unwrap();
+        assert_eq!(winner.as_str(), "b", "largest budget wins");
+        let direct = part("b", 200.0).outcome.unwrap().budget_for(1e-12).unwrap();
+        assert_eq!(budget.to_bits(), direct.to_bits(), "budget is bit-exact");
+    }
+
+    #[test]
+    fn from_parts_appends_channels_missing_from_the_order_in_part_order() {
+        // A channel can join between the parts being taken and the order
+        // being read, so the order may lack it: such leftovers follow the
+        // ordered channels, in part order.
+        let parts = vec![
+            vec![part("late-1", 100.0), part("a", 100.0)],
+            vec![part("late-2", 300.0), part("b", 100.0)],
+        ];
+        let merged = SessionVerdict::from_parts(&["b", "a"], parts);
+        assert_eq!(names(&merged), ["b", "a", "late-1", "late-2"]);
+        assert_eq!(merged.envelope_budget(1e-12).unwrap().0.as_str(), "late-2");
+    }
+
+    #[test]
+    fn from_parts_tie_keeps_the_earlier_channel() {
+        let parts = vec![vec![part("later", 100.0)], vec![part("earlier", 100.0)]];
+        let merged = SessionVerdict::from_parts(&["earlier", "later"], parts);
+        assert_eq!(merged.envelope_budget(1e-12).unwrap().0.as_str(), "earlier");
+    }
+
+    #[test]
+    fn from_parts_with_no_ok_channel_reports_the_first_channels_error() {
+        let parts = vec![
+            vec![failed("second", "second failed")],
+            vec![failed("first", "first failed")],
+        ];
+        let merged = SessionVerdict::from_parts(&["first", "second"], parts);
+        assert_eq!(
+            merged.envelope_budget(1e-12).unwrap_err(),
+            MbptaError::InvalidConfig {
+                what: "first failed"
+            }
+        );
+    }
+
+    #[test]
+    fn from_parts_with_no_channels_reports_no_channel() {
+        let merged = SessionVerdict::from_parts::<&str>(&[], vec![]);
+        assert_eq!(
+            merged.envelope_budget(1e-12).unwrap_err().to_string(),
+            "invalid configuration: session analysed no channel",
+        );
     }
 
     #[test]

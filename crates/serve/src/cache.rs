@@ -2,8 +2,9 @@
 //!
 //! Finalizing a verdict clones the session and refits every channel —
 //! cheap once, wasteful when a dashboard polls the same question
-//! between ingests. The cache stores **encoded response payloads**
-//! keyed by a fingerprint of everything the answer depends on:
+//! between ingests. The cache stores **response payloads** (encoded
+//! bytes by default; any cheaply clonable value, such as a shared typed
+//! partial) keyed by a fingerprint of everything the answer depends on:
 //!
 //! * the analysis-configuration fingerprint (stream config + cadences),
 //! * the query kind and its parameters (channel, probability bits),
@@ -43,8 +44,8 @@ use proxima_mbpta::persist::{self, Encode, Writer};
 
 /// One cached response with its bookkeeping ticks.
 #[derive(Debug)]
-struct Entry {
-    payload: Vec<u8>,
+struct Entry<V> {
+    payload: V,
     /// Recency tick of the last touch (mirrored in `recency`).
     touched: u64,
     /// Tick at which the payload was (re-)inserted; expiry measures
@@ -53,13 +54,13 @@ struct Entry {
     inserted: u64,
 }
 
-/// LRU-bounded map from query fingerprint to encoded response payload.
+/// LRU-bounded map from query fingerprint to response payload.
 #[derive(Debug)]
-pub struct VerdictCache {
+pub struct VerdictCache<V = Vec<u8>> {
     capacity: usize,
     /// Entries older than this many ticks expire on touch (0 = never).
     ttl: u64,
-    map: HashMap<u64, Entry>,
+    map: HashMap<u64, Entry<V>>,
     /// Recency tick → key, oldest first. Mirrors `map` exactly: every
     /// entry holds the tick stored alongside its payload.
     recency: BTreeMap<u64, u64>,
@@ -72,7 +73,7 @@ pub struct VerdictCache {
     expirations: u64,
 }
 
-impl VerdictCache {
+impl<V: Clone> VerdictCache<V> {
     /// Create a cache holding at most `capacity` responses, with no
     /// expiry.
     ///
@@ -88,7 +89,7 @@ impl VerdictCache {
     ///
     /// "Older than" is strict: an entry inserted at tick `t` still
     /// answers a touch at tick `t + ttl` and is dropped by the first
-    /// touch at `t + ttl + 1` — see [`Self::expired`] for why the
+    /// touch at `t + ttl + 1` — see the private `expired` check for why the
     /// boundary sits there.
     pub fn with_ttl(capacity: usize, ttl: u64) -> Self {
         VerdictCache {
@@ -122,7 +123,7 @@ impl VerdictCache {
     /// Look up the encoded response for `key`, counting a hit or miss.
     /// A hit refreshes the entry's recency; a lookup that lands on an
     /// expired entry drops it and counts one expiry plus one miss.
-    pub fn get(&mut self, key: u64) -> Option<Vec<u8>> {
+    pub fn get(&mut self, key: u64) -> Option<V> {
         let now = self.tick + 1;
         let stale = self
             .map
@@ -139,12 +140,12 @@ impl VerdictCache {
         match self.map.get_mut(&key) {
             Some(entry) => {
                 self.hits += 1;
-                let bytes = entry.payload.clone();
+                let payload = entry.payload.clone();
                 self.tick = now;
                 self.recency.remove(&entry.touched);
                 entry.touched = now;
                 self.recency.insert(now, key);
-                Some(bytes)
+                Some(payload)
             }
             None => {
                 self.misses += 1;
@@ -158,7 +159,7 @@ impl VerdictCache {
     /// entry once the cache is full. Re-inserting an existing key
     /// replaces its payload and refreshes both its recency and its
     /// expiry clock.
-    pub fn insert(&mut self, key: u64, value: Vec<u8>) {
+    pub fn insert(&mut self, key: u64, value: V) {
         if self.capacity == 0 {
             return;
         }

@@ -20,7 +20,8 @@
 //!   instead of drops. Past `--max-conns` the accept loop answers a
 //!   typed `Busy` frame. INGEST streams tagged batches in,
 //!   SNAPSHOT/VERDICT answer from per-worker fingerprint-keyed caches
-//!   (the envelope verdict fans out and folds per-worker partials),
+//!   (the envelope verdict fans out and the core folds the per-worker
+//!   partials),
 //!   MERGE adopts sealed federated shard blobs (state travels, data
 //!   does not), and the service auto-checkpoints — one sealed blob per
 //!   worker plus a manifest — so [`Server::resume`] restarts a killed

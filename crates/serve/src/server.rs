@@ -18,8 +18,8 @@
 //!
 //! Every response is **bit-identical at any worker count**: estimates
 //! are pure functions of a channel's own feed, session-wide totals
-//! come from one dispatcher counter, and the envelope fold replicates
-//! the single-session scan exactly.
+//! come from one dispatcher counter, and the envelope is the
+//! single-session fold itself (`SessionVerdict::envelope_budget`).
 //!
 //! Admission control is explicit: past `max_conns` concurrent
 //! connections the accept loop answers a typed `Busy` frame and closes
@@ -50,7 +50,7 @@ use proxima_stream::{SessionStreamExt, StreamConfig, StreamFactory};
 
 use crate::cache::{config_fingerprint, VerdictCache};
 use crate::frame::{read_frame, write_frame, Request, Response, ServerStats};
-use crate::shard::{repartition, ShardedSession, WorkerContext, WorkerSeed};
+use crate::shard::{repartition, Cached, ShardedSession, WorkerContext, WorkerSeed};
 
 /// Magic for the server's checkpoint **manifest**: `PXSV`
 /// ("proxima server"). The manifest carries the serve parameters, the
@@ -252,7 +252,7 @@ fn new_worker_session(config: &ServeConfig) -> Result<AnalysisSession<StreamFact
     .build_stream_with(config.stream.clone())?)
 }
 
-fn fresh_cache(config: &ServeConfig) -> VerdictCache {
+fn fresh_cache(config: &ServeConfig) -> VerdictCache<Cached> {
     VerdictCache::with_ttl(config.cache_capacity, config.cache_ttl)
 }
 
@@ -726,41 +726,8 @@ fn shard_file(path: &Path, generation: u64, index: usize) -> PathBuf {
     path.with_file_name(format!("{name}.g{generation}.shard{index}"))
 }
 
-/// Write `bytes` to `path` atomically: a sibling temp file, fsync,
-/// rename over the target, then best-effort fsync the directory — a
-/// crash at any point leaves either the old or the new file intact,
-/// never a torn one.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
-    let name = path.file_name().map_or_else(
-        || "checkpoint".to_string(),
-        |n| n.to_string_lossy().into_owned(),
-    );
-    let tmp = path.with_file_name(format!("{name}.tmp"));
-    let mut file = std::fs::File::create(&tmp)
-        .map_err(|e| ServeError::Io(format!("cannot create {}: {e}", tmp.display())))?;
-    file.write_all(bytes)
-        .map_err(|e| ServeError::Io(format!("cannot write {}: {e}", tmp.display())))?;
-    file.sync_all()
-        .map_err(|e| ServeError::Io(format!("cannot sync {}: {e}", tmp.display())))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| {
-        ServeError::Io(format!(
-            "cannot rename {} over {}: {e}",
-            tmp.display(),
-            path.display()
-        ))
-    })?;
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        if let Ok(dir) = std::fs::File::open(dir) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
+fn cannot_write(path: &Path, e: &io::Error) -> ServeError {
+    ServeError::Io(format!("cannot write {}: {e}", path.display()))
 }
 
 /// What the checkpoint manifest records.
@@ -880,7 +847,8 @@ fn write_server_checkpoint(shared: &Shared, only_if_due: bool) -> Result<u64, Se
     let mut shards = Vec::with_capacity(blobs.len());
     let mut written = 0u64;
     for (index, blob) in blobs.iter().enumerate() {
-        write_atomic(&shard_file(&path, generation, index), blob)?;
+        let shard = shard_file(&path, generation, index);
+        persist::write_atomic(&shard, blob).map_err(|e| cannot_write(&shard, &e))?;
         shards.push((blob.len() as u64, persist::fnv1a(blob)));
         written += blob.len() as u64;
     }
@@ -896,7 +864,7 @@ fn write_server_checkpoint(shared: &Shared, only_if_due: bool) -> Result<u64, Se
         shards,
     }
     .encode();
-    write_atomic(&path, &manifest)?;
+    persist::write_atomic(&path, &manifest).map_err(|e| cannot_write(&path, &e))?;
     written += manifest.len() as u64;
 
     if let Some((prev_gen, prev_count)) = cursor.prev {

@@ -31,21 +31,23 @@
 //!   counter fed by per-request deltas, not from any single worker's
 //!   session.
 //! * Envelope verdicts fan out: each worker finalizes a clone of its
-//!   own session into a cached *partial* (its channels, in first-seen
-//!   order), and the dispatcher folds the partials in **global**
-//!   first-seen channel order with exactly the single-session
-//!   `envelope_budget` scan (max of budgets, strict `>`, first error
-//!   wins) — so the fold is associative over any partitioning.
+//!   own session into a cached, shared *partial* (its typed channel
+//!   verdicts), and the dispatcher hands the partials to the core
+//!   ([`SessionVerdict::from_parts`]), which restores **global**
+//!   first-seen channel order, so the one `envelope_budget` fold answers
+//!   exactly as a single session would, whatever the partitioning.
+//!   Errors become strings only at the wire edge.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 use proxima_mbpta::engine::Engine as _;
-use proxima_mbpta::persist::{self, Decode, Encode, Reader, Writer};
-use proxima_mbpta::{AnalysisSession, Verdict};
+use proxima_mbpta::persist;
+use proxima_mbpta::session::{ChannelVerdict, SessionVerdict};
+use proxima_mbpta::AnalysisSession;
 use proxima_stream::{StreamConfig, StreamEngine, StreamFactory};
 
 use crate::cache::{query_key, VerdictCache};
@@ -63,6 +65,14 @@ const KIND_VERDICT: u8 = 3;
 /// response); keyed by the worker session's total, probability-blind
 /// because channel outcomes do not depend on `p`.
 const KIND_PARTIAL: u8 = 4;
+
+/// A worker's cache payload: an encoded response, or its typed verdict
+/// partial, shared so a cache hit costs a reference count.
+#[derive(Clone)]
+pub(crate) enum Cached {
+    Response(Vec<u8>),
+    Partial(Arc<[ChannelVerdict]>),
+}
 
 /// The worker that owns `channel`: FNV-1a of the tag mod the worker
 /// count. Deterministic and stable across restarts, so a resumed or
@@ -93,7 +103,7 @@ pub(crate) struct WorkerContext {
 /// One worker's starting state.
 pub(crate) struct WorkerSeed {
     pub session: AnalysisSession<StreamFactory>,
-    pub cache: VerdictCache,
+    pub cache: VerdictCache<Cached>,
 }
 
 /// What an ingest did, from the owning worker's point of view.
@@ -136,9 +146,9 @@ enum Job {
         p: f64,
         reply: SyncSender<Vec<u8>>,
     },
-    /// Reply: the worker's encoded all-channel verdict partial.
+    /// Reply: the worker's all-channel verdict partial.
     VerdictAll {
-        reply: SyncSender<Vec<u8>>,
+        reply: SyncSender<Arc<[ChannelVerdict]>>,
     },
     Stats {
         reply: SyncSender<ShardStats>,
@@ -336,13 +346,12 @@ impl ShardedSession {
                     self.send(index, Job::VerdictAll { reply: tx })?;
                     replies.push(rx);
                 }
-                let mut partials = Vec::with_capacity(replies.len());
+                let mut parts = Vec::with_capacity(replies.len());
                 for (index, rx) in replies.into_iter().enumerate() {
-                    let bytes = rx.recv().map_err(|_| worker_gone(index))?;
-                    partials.push(decode_partial(&bytes)?);
+                    parts.push(rx.recv().map_err(|_| worker_gone(index))?.to_vec());
                 }
                 let order = lock(&self.registry, "channel registry")?.order.clone();
-                Ok(fold_verdicts(p, &order, partials).encode())
+                Ok(verdicts_response(p, SessionVerdict::from_parts(&order, parts)).encode())
             }
         }
     }
@@ -435,113 +444,18 @@ pub(crate) fn repartition(
     Ok(out)
 }
 
-/// Encode a worker's all-channel verdict partial: its channels in
-/// first-seen order, each an already-stringified outcome. The format
-/// is process-internal (cached, never on the wire or on disk).
-fn encode_partial(channels: &[proxima_mbpta::session::ChannelVerdict]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.usize(channels.len());
-    for entry in channels {
-        w.str(entry.channel.as_str());
-        match &entry.outcome {
-            Ok(verdict) => {
-                w.bool(true);
-                verdict.encode(&mut w);
-            }
-            Err(e) => {
-                w.bool(false);
-                w.str(&e.to_string());
-            }
-        }
-    }
-    w.into_bytes()
-}
-
-fn partial_codec_bug(e: impl std::fmt::Display) -> ServeError {
-    ServeError::Analysis(format!("internal verdict-partial codec error: {e}"))
-}
-
-/// One channel's share of a worker's verdict partial: the name and
-/// either the finalized verdict or that channel's quarantine error.
-type ChannelPartial = (String, Result<Verdict, String>);
-
-fn decode_partial(bytes: &[u8]) -> Result<Vec<ChannelPartial>, ServeError> {
-    let mut r = Reader::new(bytes);
-    let n = r.usize().map_err(partial_codec_bug)?;
-    if n > bytes.len() {
-        return Err(partial_codec_bug("channel count exceeds payload"));
-    }
-    let mut channels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.str().map_err(partial_codec_bug)?.to_string();
-        let outcome = if r.bool().map_err(partial_codec_bug)? {
-            Ok(Verdict::decode(&mut r).map_err(partial_codec_bug)?)
-        } else {
-            Err(r.str().map_err(partial_codec_bug)?.to_string())
-        };
-        channels.push((name, outcome));
-    }
-    r.finish().map_err(partial_codec_bug)?;
-    Ok(channels)
-}
-
-/// Fold per-worker partials into the all-channel verdict response,
-/// replicating `SessionVerdict::envelope_budget` exactly: channels in
-/// global first-seen order, the envelope the maximum budget over ok
-/// channels (strict `>`, so ties keep the earlier channel), the first
-/// budget error aborting the scan, and the no-ok-channel fallback
-/// reporting the first channel's error.
-fn fold_verdicts(
-    p: f64,
-    order: &[String],
-    partials: Vec<Vec<(String, Result<Verdict, String>)>>,
-) -> Response {
-    // Each channel lives in exactly one worker's partial. Pull them
-    // into global order; a channel racing into existence mid-fan-out
-    // may miss the registry order, so leftovers append in worker order
-    // (deterministic under any sequential schedule).
-    let mut flat: Vec<Option<(String, Result<Verdict, String>)>> =
-        partials.into_iter().flatten().map(Some).collect();
-    let slots: BTreeMap<String, usize> = flat
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| e.as_ref().map(|(name, _)| (name.clone(), i)))
+/// The wire form of a verdict query: every channel's outcome plus the
+/// envelope at `p`, with errors stringified.
+fn verdicts_response(p: f64, merged: SessionVerdict) -> Response {
+    let envelope = merged
+        .envelope_budget(p)
+        .map(|(winner, budget)| (winner.to_string(), budget))
+        .map_err(|e| e.to_string());
+    let channels = merged
+        .into_channels()
+        .into_iter()
+        .map(|c| (c.channel.to_string(), c.outcome.map_err(|e| e.to_string())))
         .collect();
-    let mut channels = Vec::with_capacity(flat.len());
-    for name in order {
-        if let Some(&i) = slots.get(name) {
-            if let Some(entry) = flat[i].take() {
-                channels.push(entry);
-            }
-        }
-    }
-    channels.extend(flat.into_iter().flatten());
-
-    let mut best: Option<(usize, f64)> = None;
-    let mut budget_error: Option<String> = None;
-    for (i, (_, outcome)) in channels.iter().enumerate() {
-        if let Ok(verdict) = outcome {
-            match verdict.budget_for(p) {
-                Err(e) => {
-                    budget_error = Some(e.to_string());
-                    break;
-                }
-                Ok(budget) => {
-                    if best.is_none_or(|(_, current)| budget > current) {
-                        best = Some((i, budget));
-                    }
-                }
-            }
-        }
-    }
-    let envelope = match (budget_error, best) {
-        (Some(e), _) => Err(e),
-        (None, Some((i, budget))) => Ok((channels[i].0.clone(), budget)),
-        (None, None) => Err(channels
-            .first()
-            .and_then(|(_, outcome)| outcome.as_ref().err().cloned())
-            .unwrap_or_else(|| "invalid configuration: session analysed no channel".to_string())),
-    };
     Response::Verdicts {
         p,
         channels,
@@ -553,7 +467,7 @@ fn fold_verdicts(
 /// by its mailbox until every sender is gone.
 struct Worker {
     session: AnalysisSession<StreamFactory>,
-    cache: VerdictCache,
+    cache: VerdictCache<Cached>,
     /// Latest emitted estimate per owned channel (announcements and
     /// scheduled snapshots). Rebuilt from live traffic after a resume,
     /// exactly like the pre-sharding server.
@@ -684,17 +598,25 @@ impl Worker {
         })
     }
 
+    /// The cached encoded response under `key`, if any.
+    fn cached_response(&mut self, key: u64) -> Option<Vec<u8>> {
+        match self.cache.get(key)? {
+            Cached::Response(bytes) => Some(bytes),
+            Cached::Partial(_) => None,
+        }
+    }
+
     fn snapshot(&mut self, channel: &str) -> Vec<u8> {
         let progress = self.channel_len(channel) as u64;
         let key = query_key(self.fingerprint, KIND_SNAPSHOT, channel, progress, 0);
-        if let Some(hit) = self.cache.get(key) {
+        if let Some(hit) = self.cached_response(key) {
             return hit;
         }
         let response = Response::Snapshot {
             latest: self.latest.get(channel).cloned(),
         }
         .encode();
-        self.cache.insert(key, response.clone());
+        self.cache.insert(key, Cached::Response(response.clone()));
         response
     }
 
@@ -707,13 +629,19 @@ impl Worker {
             progress,
             p.to_bits(),
         );
-        if let Some(hit) = self.cache.get(key) {
+        if let Some(hit) = self.cached_response(key) {
             return hit;
         }
         // Finalize a clone: the live session keeps streaming, and
         // repeat queries between ingests come straight from the cache.
-        let merged = self.session.clone().merge();
-        let Some(outcome) = merged.verdict(channel) else {
+        let found = self
+            .session
+            .clone()
+            .merge()
+            .into_channels()
+            .into_iter()
+            .find(|c| c.channel.as_str() == channel);
+        let Some(found) = found else {
             // The dispatcher's registry check makes this unreachable
             // for routed queries; answer honestly anyway.
             return Response::Error {
@@ -721,27 +649,13 @@ impl Worker {
             }
             .encode();
         };
-        let channels = vec![(
-            channel.to_string(),
-            outcome.clone().map_err(|e| e.to_string()),
-        )];
-        let envelope = channels[0]
-            .1
-            .as_ref()
-            .map_err(Clone::clone)
-            .and_then(|verdict| verdict.budget_for(p).map_err(|e| e.to_string()))
-            .map(|budget| (channel.to_string(), budget));
-        let response = Response::Verdicts {
-            p,
-            channels,
-            envelope,
-        }
-        .encode();
-        self.cache.insert(key, response.clone());
+        let merged = SessionVerdict::from_parts(&[channel], vec![vec![found]]);
+        let response = verdicts_response(p, merged).encode();
+        self.cache.insert(key, Cached::Response(response.clone()));
         response
     }
 
-    fn verdict_partial(&mut self) -> Vec<u8> {
+    fn verdict_partial(&mut self) -> Arc<[ChannelVerdict]> {
         let key = query_key(
             self.fingerprint,
             KIND_PARTIAL,
@@ -749,12 +663,12 @@ impl Worker {
             self.session.len() as u64,
             0,
         );
-        if let Some(hit) = self.cache.get(key) {
+        if let Some(Cached::Partial(hit)) = self.cache.get(key) {
             return hit;
         }
-        let merged = self.session.clone().merge();
-        let partial = encode_partial(merged.channels());
-        self.cache.insert(key, partial.clone());
+        let partial: Arc<[ChannelVerdict]> = self.session.clone().merge().into_channels().into();
+        self.cache
+            .insert(key, Cached::Partial(Arc::clone(&partial)));
         partial
     }
 
@@ -793,142 +707,5 @@ mod tests {
         for name in ["a", "b", "c", "☃"] {
             assert_eq!(owner_of(name, 1), 0);
         }
-    }
-
-    #[test]
-    fn fold_keeps_global_order_and_max_budget() {
-        let verdict = |pwcet: f64| sample_verdict(pwcet);
-        // Worker 0 holds b (seen 2nd globally), worker 1 holds a, c.
-        let partials = vec![
-            vec![("b".to_string(), Ok(verdict(200.0)))],
-            vec![
-                ("a".to_string(), Ok(verdict(100.0))),
-                ("c".to_string(), Ok(verdict(150.0))),
-            ],
-        ];
-        let order = vec!["a".to_string(), "b".to_string(), "c".to_string()];
-        let response = fold_verdicts(1e-12, &order, partials);
-        let Response::Verdicts {
-            channels, envelope, ..
-        } = response
-        else {
-            panic!("fold produced a non-verdict response");
-        };
-        let names: Vec<&str> = channels.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["a", "b", "c"], "global first-seen order");
-        let (winner, budget) = envelope.unwrap();
-        assert_eq!(winner, "b", "largest budget wins");
-        let direct = sample_verdict(200.0).budget_for(1e-12).unwrap();
-        assert_eq!(budget.to_bits(), direct.to_bits(), "budget is bit-exact");
-    }
-
-    #[test]
-    fn fold_tie_keeps_the_earlier_channel() {
-        let partials = vec![
-            vec![("later".to_string(), Ok(sample_verdict(100.0)))],
-            vec![("earlier".to_string(), Ok(sample_verdict(100.0)))],
-        ];
-        let order = vec!["earlier".to_string(), "later".to_string()];
-        let Response::Verdicts { envelope, .. } = fold_verdicts(1e-12, &order, partials) else {
-            panic!("fold produced a non-verdict response");
-        };
-        assert_eq!(envelope.unwrap().0, "earlier");
-    }
-
-    #[test]
-    fn fold_with_no_ok_channel_reports_the_first_channels_error() {
-        let partials = vec![
-            vec![("second".to_string(), Err("second failed".to_string()))],
-            vec![("first".to_string(), Err("first failed".to_string()))],
-        ];
-        let order = vec!["first".to_string(), "second".to_string()];
-        let Response::Verdicts { envelope, .. } = fold_verdicts(1e-12, &order, partials) else {
-            panic!("fold produced a non-verdict response");
-        };
-        assert_eq!(envelope.unwrap_err(), "first failed");
-    }
-
-    #[test]
-    fn fold_with_no_channels_matches_the_session_error() {
-        let Response::Verdicts { envelope, .. } = fold_verdicts(1e-12, &[], vec![]) else {
-            panic!("fold produced a non-verdict response");
-        };
-        assert_eq!(
-            envelope.unwrap_err(),
-            "invalid configuration: session analysed no channel",
-        );
-    }
-
-    #[test]
-    fn partial_codec_round_trips() {
-        use proxima_mbpta::session::{ChannelId, ChannelVerdict};
-        let entries = vec![
-            ChannelVerdict {
-                channel: ChannelId::from("ok-channel"),
-                outcome: Ok(sample_verdict(123.25)),
-                dropped: 0,
-            },
-            ChannelVerdict {
-                channel: ChannelId::from("bad-channel"),
-                outcome: Err(proxima_mbpta::MbptaError::InvalidConfig {
-                    what: "session analysed no channel",
-                }),
-                dropped: 3,
-            },
-        ];
-        let bytes = encode_partial(&entries);
-        let decoded = decode_partial(&bytes).unwrap();
-        assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded[0].0, "ok-channel");
-        assert!(decoded[0].1.is_ok());
-        assert_eq!(decoded[1].0, "bad-channel");
-        assert_eq!(
-            decoded[1].1.as_ref().unwrap_err(),
-            "invalid configuration: session analysed no channel"
-        );
-    }
-
-    /// A real verdict from a tiny deterministic campaign, computed once,
-    /// with its pWCET tail re-pinned at `mu` so fold tests can dial in
-    /// distinct (or deliberately tied) envelope budgets.
-    fn sample_verdict(mu: f64) -> Verdict {
-        use proxima_mbpta::Pwcet;
-        use proxima_stats::dist::Gumbel;
-        let mut verdict = base_verdict();
-        verdict.pwcet = Pwcet::new(Gumbel::new(mu, 10.0).unwrap(), 100);
-        verdict
-    }
-
-    fn base_verdict() -> Verdict {
-        use std::sync::OnceLock;
-        static BASE: OnceLock<Verdict> = OnceLock::new();
-        BASE.get_or_init(|| {
-            use proxima_stream::SessionStreamExt;
-            let stream = StreamConfig::default();
-            let mut session = proxima_mbpta::MbptaConfig {
-                block: proxima_mbpta::BlockSpec::Fixed(stream.block_size),
-                ..proxima_mbpta::MbptaConfig::default()
-            }
-            .session()
-            .snapshot_every(0)
-            .target_p(1e-12)
-            .build_stream_with(stream)
-            .unwrap();
-            // SplitMix64 feed: deterministic, no clock, no OS entropy.
-            let mut state = 41u64.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-            let values: Vec<f64> = (0..1500)
-                .map(|_| {
-                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    let mut z = state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                    z ^= z >> 31;
-                    1000.0 + 200.0 * ((z >> 11) as f64 / (1u64 << 53) as f64)
-                })
-                .collect();
-            session.push_batch("base", &values).unwrap();
-            session.merge().into_channels().remove(0).outcome.unwrap()
-        })
-        .clone()
     }
 }

@@ -2,7 +2,7 @@
 //! periodically, emit a stream of pWCET snapshots.
 //!
 //! [`StreamAnalyzer`] is the streaming counterpart of the batch
-//! [`analyze`](proxima_mbpta::analyze) pipeline. It holds **bounded state
+//! [`Pipeline::analyze`](proxima_mbpta::Pipeline::analyze) pipeline. It holds **bounded state
 //! only**:
 //!
 //! * a quantile [`Sketch`] for high-watermark / ECDF queries — the GK
@@ -738,6 +738,17 @@ mod tests {
             refit_every_blocks: every,
             ..StreamConfig::default()
         }
+    }
+
+    #[test]
+    fn from_mbpta_carries_a_fixed_block_and_falls_back_for_auto() {
+        let fixed = MbptaConfig {
+            block: BlockSpec::Fixed(25),
+            ..MbptaConfig::default()
+        };
+        assert_eq!(StreamConfig::from_mbpta(&fixed).block_size, 25);
+        let auto = StreamConfig::from_mbpta(&MbptaConfig::default());
+        assert_eq!(auto.block_size, 100);
     }
 
     #[test]

@@ -731,16 +731,14 @@ impl SessionParams {
     }
 }
 
-/// Write a session checkpoint file atomically and durably: serialize to
-/// `<path>.tmp` in the same directory, fsync it, rename over `<path>`,
-/// then fsync the directory — a crash (or power cut) mid-write leaves
+/// Write a session checkpoint file atomically and durably
+/// ([`persist::write_atomic`]) — a crash (or power cut) mid-write leaves
 /// either the previous checkpoint or the new one, never a torn file.
 fn write_checkpoint<F: EngineFactory>(
     path: &str,
     params: &SessionParams,
     session: &mut AnalysisSession<F>,
 ) -> Result<(), String> {
-    use std::io::Write;
     let blob = session
         .checkpoint()
         .map_err(|e| format!("cannot checkpoint session: {e}"))?;
@@ -749,29 +747,8 @@ fn write_checkpoint<F: EngineFactory>(
     w.usize(session.len());
     w.bytes(&blob);
     let bytes = persist::seal(MAGIC_CLI_CHECKPOINT, w.into_bytes());
-    let tmp = format!("{path}.tmp");
-    let mut file = std::fs::File::create(&tmp).map_err(|e| format!("cannot create {tmp}: {e}"))?;
-    file.write_all(&bytes)
-        .map_err(|e| format!("cannot write {tmp}: {e}"))?;
-    // The rename only renames metadata; without flushing the data first,
-    // a power cut shortly after the rename could leave the *new* name
-    // pointing at an empty/partial file with the old checkpoint gone.
-    file.sync_all()
-        .map_err(|e| format!("cannot sync {tmp}: {e}"))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {tmp} over {path}: {e}"))?;
-    // Persist the rename itself (best effort — directory fsync is not
-    // supported everywhere).
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        let dir = if parent.as_os_str().is_empty() {
-            std::path::Path::new(".")
-        } else {
-            parent
-        };
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    persist::write_atomic(path, &bytes)
+        .map_err(|e| format!("cannot write checkpoint {path}: {e}"))?;
     // Reset the session's cadence counter ([`AnalysisSession::
     // checkpoint_due`]) so the next checkpoint falls due a full period
     // from here.

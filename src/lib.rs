@@ -63,12 +63,6 @@ pub use proxima_workload as workload;
 
 /// The most common imports in one place.
 pub mod prelude {
-    // The deprecated shims stay importable from the prelude; they are
-    // all defined in the `compat` module of their crate
-    // (`proxima_mbpta::compat`, `proxima_stream::compat`), which is the
-    // single place the deprecation surface is maintained.
-    #[allow(deprecated)]
-    pub use deprecated_shims::*;
     pub use proxima_mbpta::persist::{Decode, Encode};
     pub use proxima_mbpta::session::SessionVerdict;
     pub use proxima_mbpta::{
@@ -90,14 +84,6 @@ pub mod prelude {
     };
     pub use proxima_workload::bench_suite::Benchmark;
     pub use proxima_workload::tvca::{ControlMode, Scale, Tvca, TvcaConfig};
-
-    /// The deprecated entry points, grouped so the prelude needs exactly
-    /// one `#[allow(deprecated)]` no matter how many shims exist.
-    #[allow(deprecated)]
-    mod deprecated_shims {
-        pub use proxima_mbpta::compat::{analyze, measure_and_analyze};
-        pub use proxima_stream::compat::PipelineStreamExt;
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,6 @@
 //! The DET-vs-RAND comparisons behind Figure 3 and the average-performance
 //! claim.
 
-// Deliberately exercises the deprecated pre-session API: these tests
-// double as regression coverage for the `analyze`/`PipelineStreamExt`
-// shims, which must stay behaviourally identical to the session path.
-#![allow(deprecated)]
-
 use proxima::prelude::*;
 
 fn measure(config: PlatformConfig, layout_seed: u64, runs: usize, seed: u64) -> Vec<f64> {
@@ -77,7 +72,7 @@ fn pwcet_within_same_order_of_magnitude_as_det() {
     // +50% at cutoff 1e-6.
     let det = measure(PlatformConfig::deterministic(), 0, 1, 0)[0];
     let rand_times = measure(PlatformConfig::mbpta_compliant(), 0, 1000, 0);
-    let report = analyze(&rand_times, &MbptaConfig::default()).expect("analysis");
+    let report = Pipeline::default().analyze(&rand_times).expect("analysis");
     for exp in [6i32, 9, 12, 15] {
         let budget = report.budget_for(10f64.powi(-exp)).expect("budget");
         let ratio = budget / det;
@@ -99,7 +94,7 @@ fn mbta_baseline_with_50_percent_margin_is_competitive() {
     let mbta = MbtaEstimate::from_campaign(&det_campaign, 0.5).expect("baseline");
 
     let rand_times = measure(PlatformConfig::mbpta_compliant(), 0, 1000, 0);
-    let report = analyze(&rand_times, &MbptaConfig::default()).expect("analysis");
+    let report = Pipeline::default().analyze(&rand_times).expect("analysis");
     let pwcet6 = report.budget_for(1e-6).expect("budget");
 
     let ratio = pwcet6 / mbta.bound;

@@ -1,11 +1,6 @@
 //! End-to-end reproduction of the paper's analysis flow: TVCA on the
 //! randomized platform → i.i.d. gate → EVT fit → pWCET.
 
-// Deliberately exercises the deprecated pre-session API: these tests
-// double as regression coverage for the `analyze`/`PipelineStreamExt`
-// shims, which must stay behaviourally identical to the session path.
-#![allow(deprecated)]
-
 use proxima::prelude::*;
 
 fn full_tvca_campaign(runs: usize, seed: u64) -> Campaign {
@@ -21,7 +16,9 @@ fn tvca_campaign_passes_iid_gate() {
     // measured times pass both tests at alpha = 0.05 (reported p-values
     // 0.83 and 0.45).
     let campaign = full_tvca_campaign(600, 0);
-    let report = analyze(campaign.times(), &MbptaConfig::default()).expect("analysis");
+    let report = Pipeline::default()
+        .analyze(campaign.times())
+        .expect("analysis");
     assert!(report.iid.passed);
     assert!(report.iid.ljung_box.p_value >= 0.05);
     assert!(report.iid.ks.p_value >= 0.05);
@@ -34,7 +31,9 @@ fn pwcet_upper_bounds_observations_tightly() {
     // Fixed base seed verified to pass the 5%-level gate (any seed has a
     // 5% false-rejection chance; pinning keeps the test deterministic).
     let campaign = full_tvca_campaign(600, 2_000_000);
-    let report = analyze(campaign.times(), &MbptaConfig::default()).expect("analysis");
+    let report = Pipeline::default()
+        .analyze(campaign.times())
+        .expect("analysis");
     let hwm = report.high_watermark();
     let b9 = report.budget_for(1e-9).expect("budget");
     let b15 = report.budget_for(1e-15).expect("budget");
@@ -54,7 +53,7 @@ fn deterministic_platform_fails_mbpta_gate() {
     let tvca = Tvca::new(TvcaConfig::default());
     let trace = tvca.trace(ControlMode::Nominal);
     let campaign = Campaign::measure(&mut platform, &trace, 200, 0).expect("campaign");
-    let result = analyze(campaign.times(), &MbptaConfig::default());
+    let result = Pipeline::default().analyze(campaign.times());
     assert!(result.is_err(), "DET campaigns must not be analysable");
 }
 
@@ -86,7 +85,9 @@ fn convergence_criterion_satisfied_by_large_campaign() {
 #[test]
 fn render_report_mentions_pass_and_estimates() {
     let campaign = full_tvca_campaign(600, 11);
-    let report = analyze(campaign.times(), &MbptaConfig::default()).expect("analysis");
+    let report = Pipeline::default()
+        .analyze(campaign.times())
+        .expect("analysis");
     let text = render_report(&report);
     assert!(text.contains("PASSED"));
     assert!(text.contains("1e-12"));

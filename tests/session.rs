@@ -2,12 +2,7 @@
 //! tentpole): a session ingesting a 3-channel tagged feed produces, per
 //! channel, verdicts **bit-identical** to running the batch pipeline /
 //! `StreamAnalyzer` on each channel's measurements alone — at every
-//! `jobs` setting and under any interleaving — and the deprecated shims
-//! stay equivalent to the session path.
-//!
-//! Deliberately exercises the deprecated pre-session API in the shim
-//! equivalence tests.
-#![allow(deprecated)]
+//! `jobs` setting and under any interleaving.
 
 use proptest::prelude::*;
 use proxima::prelude::*;
@@ -66,13 +61,15 @@ fn batch_session_bit_identical_to_bare_analyze_at_every_jobs() {
                 .expect("channel present")
                 .as_ref()
                 .unwrap();
-            let report = analyze(times, &config).expect("bare analysis");
+            let report = Pipeline::new(config.clone())
+                .analyze(times)
+                .expect("bare analysis");
             // Bit-identical: the full report round-trips through the
             // verdict, pWCET parameters included.
             assert_eq!(
                 verdict.clone().into_report().unwrap(),
                 report,
-                "jobs={jobs} channel={name} diverged from bare analyze()"
+                "jobs={jobs} channel={name} diverged from Pipeline::analyze"
             );
             assert_eq!(
                 verdict.budget_for(1e-12).unwrap(),
@@ -184,58 +181,35 @@ fn adversarial_interleavings_yield_identical_verdicts() {
 }
 
 #[test]
-fn deprecated_analyze_shim_equals_session_and_pipeline() {
+fn pipeline_analyze_equals_single_channel_session() {
     // Seed chosen to pass the 5%-level i.i.d. gate (fixed seeds keep CI
     // stable against the gate's 5% false-rejection rate).
     let times = campaign(1e5, 1500, 1);
     let config = MbptaConfig::default();
-    let shim = analyze(&times, &config).expect("shim analysis");
-    let object = Pipeline::new(config.clone())
-        .analyze(&times)
-        .expect("pipeline");
+    let pipeline = Pipeline::new(config.clone());
+    let report = pipeline.analyze(&times).expect("pipeline");
     let verdict = config.clone().session().analyze(&times).expect("session");
-    assert_eq!(shim, object);
-    assert_eq!(verdict.into_report().unwrap(), shim);
-    // Error semantics survive the shim: the session unwraps its channel
-    // scope, so callers still match on the original variants.
+    assert_eq!(verdict.into_report().unwrap(), report);
+    // Error semantics match too: the session unwraps its channel scope,
+    // so callers match on the same variants the pipeline returns.
     let constant = vec![500.0; 600];
     assert!(matches!(
-        analyze(&constant, &config),
+        config.clone().session().analyze(&constant),
+        Err(proxima::mbpta::MbptaError::Stats(_))
+    ));
+    assert!(matches!(
+        pipeline.analyze(&constant),
         Err(proxima::mbpta::MbptaError::Stats(_))
     ));
     let short = campaign(1e5, 50, 5);
     assert!(matches!(
-        analyze(&short, &config),
+        config.clone().session().analyze(&short),
         Err(proxima::mbpta::MbptaError::CampaignTooSmall { .. })
     ));
-}
-
-#[test]
-fn deprecated_stream_ext_shim_equals_stream_session() {
-    let times = campaign(1e5, 3000, 6);
-    let stream_config = StreamConfig {
-        block_size: 25,
-        refit_every_blocks: 4,
-        ..StreamConfig::default()
-    };
-    // Old way: Pipeline::stream_with.
-    let mut old = Pipeline::default()
-        .stream_with(stream_config.clone())
-        .expect("shim analyzer");
-    old.extend(times.iter().copied()).unwrap();
-    let old_final = old.finish().unwrap();
-    // New way: single-channel streaming session.
-    let mut session = MbptaConfig::default()
-        .session()
-        .build_stream_with(stream_config)
-        .unwrap();
-    for &x in &times {
-        session.push(Tagged::new("only", x)).unwrap();
-    }
-    let merged = session.merge();
-    let verdict = merged.verdict("only").unwrap().as_ref().unwrap();
-    assert_eq!(verdict.pwcet, old_final.distribution);
-    assert_eq!(verdict.summary.high_watermark, old_final.high_watermark);
+    assert!(matches!(
+        pipeline.analyze(&short),
+        Err(proxima::mbpta::MbptaError::CampaignTooSmall { .. })
+    ));
 }
 
 #[test]
@@ -286,7 +260,7 @@ proptest! {
         let times = campaign(base, n, seed);
         let config = MbptaConfig::default();
         let session_outcome = config.clone().session().analyze(&times);
-        let bare_outcome = analyze(&times, &config);
+        let bare_outcome = Pipeline::new(config).analyze(&times);
         match (session_outcome, bare_outcome) {
             (Ok(verdict), Ok(report)) => {
                 prop_assert_eq!(verdict.into_report().unwrap(), report);

@@ -1,12 +1,7 @@
 //! End-to-end acceptance of the streaming MBPTA subsystem, through the
 //! facade: on a 10k-sample trace the final streamed snapshot at p = 1e-12
-//! agrees with the batch `analyze()` to within 1%, with memory bounded to
-//! the sketch + monitor window + block-maxima buffer.
-
-// Deliberately exercises the deprecated pre-session API: these tests
-// double as regression coverage for the `analyze`/`PipelineStreamExt`
-// shims, which must stay behaviourally identical to the session path.
-#![allow(deprecated)]
+//! agrees with the batch `Pipeline::analyze` to within 1%, with memory
+//! bounded to the sketch + monitor window + block-maxima buffer.
 
 use proxima::prelude::*;
 use proxima::stream::StreamConfig;
@@ -25,23 +20,20 @@ fn streaming_10k_within_one_percent_of_batch_with_bounded_memory() {
     const BLOCK: usize = 50;
     let times = campaign(N, 3);
 
-    let batch = analyze(
-        &times,
-        &MbptaConfig {
-            block: BlockSpec::Fixed(BLOCK),
-            ..MbptaConfig::default()
-        },
-    )
+    let batch = Pipeline::new(MbptaConfig {
+        block: BlockSpec::Fixed(BLOCK),
+        ..MbptaConfig::default()
+    })
+    .analyze(&times)
     .expect("batch analysis accepts the campaign");
     let batch_budget = batch.budget_for(1e-12).expect("batch budget");
 
-    let mut analyzer = Pipeline::default()
-        .stream_with(StreamConfig {
-            block_size: BLOCK,
-            refit_every_blocks: 5,
-            ..StreamConfig::default()
-        })
-        .expect("stream config");
+    let mut analyzer = StreamAnalyzer::new(StreamConfig {
+        block_size: BLOCK,
+        refit_every_blocks: 5,
+        ..StreamConfig::default()
+    })
+    .expect("stream config");
     let snapshots = analyzer
         .extend(times.iter().copied())
         .expect("clean ingest");
@@ -97,13 +89,12 @@ fn snapshot_stream_reports_suspect_iid_on_drifting_source() {
     let times: Vec<f64> = (0..3000)
         .map(|i| 1e5 + i as f64 * 40.0 + 100.0 * rng.gen::<f64>())
         .collect();
-    let mut analyzer = Pipeline::default()
-        .stream_with(StreamConfig {
-            block_size: 25,
-            refit_every_blocks: 4,
-            ..StreamConfig::default()
-        })
-        .expect("stream config");
+    let mut analyzer = StreamAnalyzer::new(StreamConfig {
+        block_size: 25,
+        refit_every_blocks: 4,
+        ..StreamConfig::default()
+    })
+    .expect("stream config");
     let snaps = analyzer.extend(times).expect("ingest");
     assert!(!snaps.is_empty());
     assert!(
