@@ -4,18 +4,8 @@
 //! and runs the MBPTA pipeline on them — the open equivalent of feeding a
 //! commercial timing-analysis tool a measurement file.
 //!
-//! ```text
-//! USAGE:
-//!   mbpta analyze <file> [--cutoff 1e-12] [--alpha 0.05] [--block N] [--cv] [--csv]
-//!   mbpta measure [--runs 3000] [--seed 10000000] [--jobs N] [--path nominal|...]
-//!   mbpta stream [<file>] [--target-p 1e-12] [--block 50] [--every 5] [--simulate] [...]
-//!   mbpta session [<file>] [--target-p 1e-12] [--batch] [--every 250] [--jobs N]
-//!                 [--simulate] [...]
-//!   mbpta serve [--addr 127.0.0.1:0] [--checkpoint ck.bin --checkpoint-every 1000] [...]
-//!   mbpta call <addr> <ingest|snapshot|verdict|merge|checkpoint|stats|shutdown> [...]
-//!   mbpta shard [<file>] --out <blob> [--shards N] [--simulate] [...]
-//!   mbpta --help
-//! ```
+//! Run `mbpta --help` for the usage: the [`USAGE`] text, which a unit
+//! test keeps in step with the per-subcommand flag tables.
 //!
 //! `analyze` consumes a measurement file; `measure` generates one from the
 //! built-in simulated TVCA campaign; `stream` analyses a single
@@ -29,14 +19,16 @@
 //! sealed federated state blob that `call merge` ships to a server —
 //! state travels, raw measurements do not.
 
+use std::fmt::Display;
+use std::io::{BufRead, Write};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use proxima::mbpta::cv::analyze_cv;
 use proxima::mbpta::engine::{BatchFactory, EngineFactory, EngineKind};
-use proxima::mbpta::persist;
+use proxima::mbpta::{persist, MbptaError};
 use proxima::prelude::*;
-use proxima::serve::cache::query_key;
-use proxima::serve::{Response, ServeClient, ServeConfig, Server, VerdictCache, WireSnapshot};
+use proxima::serve::{Response, ServeClient, ServeConfig, Server, WireSnapshot};
 use proxima::stream::replay::{ByteLines, LineSource, TraceReplay};
 use proxima::stream::{FederatedFactory, SketchKind, StreamConfig, StreamFactory};
 
@@ -153,8 +145,6 @@ OPTIONS (session):
   --stop-on-converged  stop once every channel's estimate is stable;
                        converged channels finish early and free
                        their engine state immediately
-  --cache-stats        print verdict-cache hit/miss counters for the
-                       final summary to stderr
 
 OPTIONS (serve):
   --addr <host:port>     bind address (port 0 = OS-assigned)  [127.0.0.1:0]
@@ -221,6 +211,315 @@ CHECKPOINT / RESUME (session):
                            restart-determinism CI job
 ";
 
+/// One flag in a subcommand's table.
+struct Flag {
+    name: &'static str,
+    /// `false` for a switch (`--cv`), `true` for `--flag <value>`.
+    takes_value: bool,
+    /// The value when the flag is not given.
+    default: Option<&'static str>,
+    /// Flags that must be given with this one.
+    needs: &'static [&'static str],
+    /// Flags that must not be given with this one, each with the reason.
+    excludes: &'static [(&'static str, &'static str)],
+}
+
+/// A flag that takes no value.
+const fn switch(name: &'static str) -> Flag {
+    Flag {
+        name,
+        takes_value: false,
+        default: None,
+        needs: &[],
+        excludes: &[],
+    }
+}
+
+/// A flag that takes a value, with the value used when it is not given.
+const fn value(name: &'static str, default: &'static str) -> Flag {
+    Flag {
+        default: Some(default),
+        ..option(name)
+    }
+}
+
+/// A flag that takes a value and has no default.
+const fn option(name: &'static str) -> Flag {
+    Flag {
+        takes_value: true,
+        ..switch(name)
+    }
+}
+
+impl Flag {
+    const fn needs(self, needs: &'static [&'static str]) -> Flag {
+        Flag { needs, ..self }
+    }
+
+    const fn excludes(self, excludes: &'static [(&'static str, &'static str)]) -> Flag {
+        Flag { excludes, ..self }
+    }
+}
+
+/// A subcommand: its flags, how many positional arguments it takes, and
+/// the function that runs it.
+struct Command {
+    name: &'static str,
+    positionals: usize,
+    run: fn(&Args<'_>) -> Result<(), String>,
+    flags: &'static [Flag],
+}
+
+/// Every subcommand but `call`, whose verbs are in [`CALL_VERBS`].
+const COMMANDS: &[Command] = &[
+    Command::new("analyze", 1, analyze_cmd, ANALYZE),
+    Command::new("measure", 0, measure_cmd, MEASURE),
+    Command::new("stream", 1, stream_cmd, STREAM),
+    Command::new("session", 1, session_cmd, SESSION),
+    Command::new("serve", 0, serve_cmd, SERVE),
+    Command::new("shard", 1, shard_cmd, SHARD),
+];
+
+/// The verbs of `call <addr> <verb>`; `<addr>` is the first positional
+/// argument of each.
+const CALL_VERBS: &[Command] = &[
+    Command::new("call ingest", 3, call_ingest, CALL_INGEST),
+    Command::new("call snapshot", 2, call_snapshot, &[]),
+    Command::new("call verdict", 1, call_verdict, CALL_VERDICT),
+    Command::new("call merge", 3, call_merge, &[]),
+    Command::new("call checkpoint", 1, call_checkpoint, &[]),
+    Command::new("call stats", 1, call_stats, &[]),
+    Command::new("call shutdown", 1, call_shutdown, &[]),
+];
+
+impl Command {
+    const fn new(
+        name: &'static str,
+        positionals: usize,
+        run: fn(&Args<'_>) -> Result<(), String>,
+        flags: &'static [Flag],
+    ) -> Command {
+        Command {
+            name,
+            positionals,
+            run,
+            flags,
+        }
+    }
+}
+
+/// `--runs`, `--seed` and `--path` configure the simulator.
+const SIM: &[&str] = &["--simulate"];
+/// A resumed session or server reads its configuration from the
+/// checkpoint; giving it again would be redundant or contradict it.
+const RESUME: (&str, &str) = ("--resume", "the checkpoint records the configuration");
+const RESUMED: &[(&str, &str)] = &[RESUME];
+
+const ANALYZE: &[Flag] = &[
+    value("--cutoff", "1e-12"),
+    value("--alpha", "0.05"),
+    option("--block"),
+    switch("--cv"),
+    switch("--csv"),
+];
+
+const MEASURE: &[Flag] = &[
+    value("--runs", "3000"),
+    value("--seed", "10000000"),
+    option("--jobs"),
+    value("--path", "nominal"),
+];
+
+const STREAM: &[Flag] = &[
+    value("--target-p", "1e-12"),
+    value("--block", "50"),
+    value("--every", "5"),
+    value("--sketch", "gk"),
+    switch("--simulate"),
+    value("--runs", "3000").needs(SIM),
+    value("--seed", "10000000").needs(SIM),
+    value("--path", "nominal").needs(SIM),
+    switch("--stop-on-converged"),
+];
+
+const SESSION: &[Flag] = &[
+    value("--target-p", "1e-12").excludes(RESUMED),
+    value("--block", "50").excludes(RESUMED),
+    value("--every", "250").excludes(RESUMED),
+    value("--sketch", "gk").excludes(&[RESUME, ("--batch", "the batch engine keeps no sketch")]),
+    switch("--batch").excludes(RESUMED),
+    value("--shards", "0").excludes(RESUMED),
+    value("--jobs", "0"),
+    switch("--stop-on-converged").excludes(RESUMED),
+    switch("--simulate").excludes(RESUMED),
+    value("--runs", "1500").needs(SIM).excludes(RESUMED),
+    value("--seed", "10000000").needs(SIM).excludes(RESUMED),
+    option("--checkpoint").needs(&["--checkpoint-every"]),
+    option("--checkpoint-every").needs(&["--checkpoint"]),
+    option("--resume"),
+    option("--crash-after"),
+];
+
+const SERVE: &[Flag] = &[
+    value("--addr", "127.0.0.1:0"),
+    value("--target-p", "1e-12").excludes(RESUMED),
+    value("--block", "50").excludes(RESUMED),
+    value("--every", "250").excludes(RESUMED),
+    value("--sketch", "gk").excludes(RESUMED),
+    // 1 for a new server; 0 (keep the manifest's count) on resume.
+    option("--workers"),
+    value("--max-conns", "0"),
+    value("--jobs", "0"),
+    value("--cache-capacity", "256").excludes(RESUMED),
+    value("--cache-ttl", "0").excludes(RESUMED),
+    option("--checkpoint")
+        .needs(&["--checkpoint-every"])
+        .excludes(RESUMED),
+    option("--checkpoint-every")
+        .needs(&["--checkpoint"])
+        .excludes(RESUMED),
+    option("--resume"),
+    option("--crash-after"),
+];
+
+const SHARD: &[Flag] = &[
+    option("--out"),
+    value("--shards", "1"),
+    value("--target-p", "1e-12"),
+    value("--block", "50"),
+    value("--sketch", "gk"),
+    switch("--simulate"),
+    value("--runs", "3000").needs(SIM),
+    value("--seed", "10000000").needs(SIM),
+    value("--path", "nominal").needs(SIM),
+];
+
+const CALL_INGEST: &[Flag] = &[value("--skip", "0"), value("--chunk", "512")];
+const CALL_VERDICT: &[Flag] = &[value("--p", "1e-12"), option("--channel")];
+
+/// A command line checked against its [`Command`] table.
+struct Args<'a> {
+    command: &'static Command,
+    /// Per table entry, the value given; `Some("")` for a given switch.
+    values: Vec<Option<&'a str>>,
+    positionals: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Walk `argv` once. Every `--flag` must be in the table, at most
+    /// once; every other argument is positional. Then apply the table's
+    /// rules. This runs before the command does any I/O.
+    fn parse(
+        command: &'static Command,
+        argv: impl IntoIterator<Item = &'a String>,
+    ) -> Result<Self, String> {
+        let mut args = Args {
+            command,
+            values: vec![None; command.flags.len()],
+            positionals: Vec::new(),
+        };
+        let mut argv = argv.into_iter();
+        while let Some(arg) = argv.next() {
+            if !arg.starts_with("--") {
+                if args.positionals.len() == command.positionals {
+                    return Err(format!("unexpected argument `{arg}` for {}", command.name));
+                }
+                args.positionals.push(arg);
+                continue;
+            }
+            let i = command
+                .flags
+                .iter()
+                .position(|f| f.name == arg)
+                .ok_or_else(|| format!("{arg} is not valid for {}", command.name))?;
+            if args.values[i].is_some() {
+                return Err(format!("{arg} is given twice"));
+            }
+            args.values[i] = Some(if command.flags[i].takes_value {
+                argv.next().ok_or_else(|| format!("{arg} needs a value"))?
+            } else {
+                ""
+            });
+        }
+        for flag in command.flags.iter().filter(|f| args.given(f.name)) {
+            if let Some((other, why)) = flag.excludes.iter().find(|(other, _)| args.given(other)) {
+                return Err(format!("{} conflicts with {other} ({why})", flag.name));
+            }
+            if let Some(other) = flag.needs.iter().find(|other| !args.given(other)) {
+                return Err(format!("{} requires {other}", flag.name));
+            }
+        }
+        Ok(args)
+    }
+
+    fn index(&self, name: &str) -> usize {
+        self.command
+            .flags
+            .iter()
+            .position(|f| f.name == name)
+            .unwrap_or_else(|| panic!("{name} is not in the {} table", self.command.name))
+    }
+
+    /// `true` if `name` is on the command line.
+    fn given(&self, name: &str) -> bool {
+        self.values[self.index(name)].is_some()
+    }
+
+    /// The value of `name` as given, else its default.
+    fn raw(&self, name: &str) -> Option<&'a str> {
+        let i = self.index(name);
+        self.values[i].or(self.command.flags[i].default)
+    }
+
+    /// The value of `name` parsed; `None` if it is neither given nor
+    /// defaulted.
+    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.raw(name)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|e| format!("invalid value for {name}: `{raw}` ({e})"))
+            })
+            .transpose()
+    }
+
+    /// The value of a flag that has a default, or that a rule makes
+    /// present, parsed.
+    fn get<T: FromStr>(&self, name: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.opt(name)?
+            .ok_or_else(|| format!("{name} needs a value"))
+    }
+
+    fn positional(&self, i: usize) -> Option<&'a str> {
+        self.positionals.get(i).copied()
+    }
+}
+
+/// The one stdout writer: every line the CLI prints goes through here.
+/// A reader that closed the pipe (`mbpta measure | head`) has seen
+/// enough, so end the process successfully, as SIGPIPE ends a C filter.
+fn write_stdout(
+    write: impl FnOnce(&mut std::io::StdoutLock<'static>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let written = write(&mut std::io::stdout().lock());
+    match written {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        written => written.map_err(|e| e.to_string()),
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(|w| writeln!(w, $($arg)*))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -234,100 +533,101 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(())
+    let (name, rest) = args
+        .split_first()
+        .map_or(("--help", args), |(name, rest)| (name.as_str(), rest));
+    // `call <addr> <verb> …`: the verb picks the flag table, and `<addr>`
+    // is its first positional argument.
+    let (commands, label, argv): (_, _, Vec<&String>) = match (name, rest) {
+        ("--help" | "-h", _) => return write_stdout(|w| w.write_all(USAGE.as_bytes())),
+        ("call", [addr, verb, rest @ ..]) => (
+            CALL_VERBS,
+            format!("call {verb}"),
+            std::iter::once(addr).chain(rest).collect(),
+        ),
+        ("call", _) => {
+            return Err("call needs <addr> and a verb \
+                 (ingest|snapshot|verdict|merge|checkpoint|stats|shutdown)"
+                .into())
         }
-        Some("analyze") => analyze_cmd(&args[1..]),
-        Some("measure") => measure_cmd(&args[1..]),
-        Some("stream") => stream_cmd(&args[1..]),
-        Some("session") => session_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("call") => call_cmd(&args[1..]),
-        Some("shard") => shard_cmd(&args[1..]),
-        Some(other) => Err(format!("unknown command `{other}`")),
-    }
+        _ => (COMMANDS, name.to_string(), rest.iter().collect()),
+    };
+    let command = commands
+        .iter()
+        .find(|c| c.name == label)
+        .ok_or_else(|| format!("unknown command `{label}`"))?;
+    (command.run)(&Args::parse(command, argv)?)
 }
 
-/// Parse `--flag value` pairs after the positional arguments.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .map(|s| Some(s.as_str()))
-            .ok_or_else(|| format!("{flag} needs a value")),
-    }
+/// `file` when given, stdin otherwise.
+fn open_input(file: Option<&str>) -> Result<Box<dyn BufRead>, String> {
+    let Some(file) = file else {
+        return Ok(Box::new(std::io::stdin().lock()));
+    };
+    let f = std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?;
+    Ok(Box::new(std::io::BufReader::new(f)))
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
-    match flag_value(args, flag)? {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid value for {flag}: `{raw}`")),
-    }
+/// One measurement per line from `file` or stdin.
+fn measurements(file: Option<&str>) -> Result<impl Iterator<Item = Result<f64, String>>, String> {
+    Ok(LineSource::new(open_input(file)?).map(|r| r.map_err(|e| e.to_string())))
 }
 
-/// Parse `--sketch {gk,kll}`: the quantile-sketch algorithm the
-/// streaming engines maintain. The error names the accepted values —
-/// a generic "invalid value" would leave the user guessing.
-fn parse_sketch(args: &[String]) -> Result<SketchKind, String> {
-    match flag_value(args, "--sketch")? {
-        None => Ok(SketchKind::default()),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid value for --sketch: `{raw}` (expected `gk` or `kll`)")),
+/// How many measurements the CLI buffers per bulk-ingest call. Large
+/// enough to amortize sketch compaction and scheduler scans, small enough
+/// to keep live tails responsive on slow feeds.
+const FEED_CHUNK: usize = 4096;
+
+/// Feed `items` to `sink` in runs of consecutive same-key values, at
+/// most `size` per call; a full run goes out at once, so live feeds stay
+/// responsive. A bad item first flushes the run before it, then ends the
+/// feed with its error: the values before a bad line are analysed, as
+/// they would be item by item.
+fn feed_chunks<K: PartialEq>(
+    items: impl Iterator<Item = Result<(K, f64), String>>,
+    size: usize,
+    mut sink: impl FnMut(&K, &[f64]) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut key: Option<K> = None;
+    let mut run: Vec<f64> = Vec::with_capacity(size.min(FEED_CHUNK));
+    let mut flush = |key: &Option<K>, run: &mut Vec<f64>| -> Result<(), String> {
+        if let (Some(key), false) = (key, run.is_empty()) {
+            sink(key, run)?;
+            run.clear();
+        }
+        Ok(())
+    };
+    for item in items {
+        let (k, x) = match item {
+            Ok(item) => item,
+            Err(e) => {
+                flush(&key, &mut run)?;
+                return Err(e);
+            }
+        };
+        if key.as_ref() != Some(&k) {
+            flush(&key, &mut run)?;
+            key = Some(k);
+        }
+        run.push(x);
+        if run.len() >= size {
+            flush(&key, &mut run)?;
+        }
     }
+    flush(&key, &mut run)
 }
 
-/// Flags that take no value: an argument following one of these is a
-/// positional argument, not the flag's value.
-const BOOLEAN_FLAGS: &[&str] = &[
-    "--cv",
-    "--csv",
-    "--simulate",
-    "--stop-on-converged",
-    "--batch",
-    "--cache-stats",
+/// The four TVCA paths, as session channels.
+const TVCA_PATHS: &[(&str, ControlMode)] = &[
+    ("nominal", ControlMode::Nominal),
+    ("saturated-x", ControlMode::SaturatedX),
+    ("saturated-y", ControlMode::SaturatedY),
+    ("fault-recovery", ControlMode::FaultRecovery),
 ];
 
-/// Every positional (non-flag) argument, in order (`call` takes several).
-fn positionals(args: &[String]) -> Vec<&str> {
-    args.iter()
-        .filter(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .map(String::as_str)
-        .collect()
-}
-
-/// `true` if `candidate` is the value of some value-taking `--flag` (so it
-/// is not the positional file argument).
-fn is_flag_value(args: &[String], candidate: &str) -> bool {
-    args.windows(2).any(|w| {
-        w[0].starts_with("--") && !BOOLEAN_FLAGS.contains(&w[0].as_str()) && w[1] == candidate
-    })
-}
-
-/// The positional (non-flag) argument, if any.
-fn positional(args: &[String]) -> Option<&String> {
-    args.iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-}
-
-fn parse_tvca_mode(path: &str) -> Result<ControlMode, String> {
-    match path {
-        "nominal" => Ok(ControlMode::Nominal),
-        "saturated-x" => Ok(ControlMode::SaturatedX),
-        "saturated-y" => Ok(ControlMode::SaturatedY),
-        "fault-recovery" => Ok(ControlMode::FaultRecovery),
-        other => Err(format!("unknown path `{other}`")),
-    }
-}
-
-/// The simulated trace source shared by `measure`, `stream --simulate`
-/// and `session --simulate`: runs/seed/path flags plus the TVCA trace of
-/// the chosen path on the MBPTA-compliant platform.
+/// A simulated single-path campaign (`measure`, `stream --simulate`,
+/// `shard --simulate`): the `--runs`/`--seed`/`--path` flags plus the
+/// TVCA trace of that path on the MBPTA-compliant platform.
 struct SimSource {
     runs: usize,
     seed: u64,
@@ -335,114 +635,83 @@ struct SimSource {
     trace: Vec<Inst>,
 }
 
-/// Shared `--runs`/`--seed` parsing for every simulate-capable
-/// subcommand (`measure`, `stream --simulate`, `session --simulate`).
-fn sim_params(args: &[String], default_runs: usize) -> Result<(usize, u64), String> {
-    let runs: usize = parse_flag(args, "--runs", default_runs)?;
-    let seed: u64 = parse_flag(args, "--seed", 10_000_000u64)?;
-    Ok((runs, seed))
-}
-
 impl SimSource {
-    fn from_args(args: &[String], default_runs: usize) -> Result<Self, String> {
-        let (runs, seed) = sim_params(args, default_runs)?;
-        let mode = parse_tvca_mode(flag_value(args, "--path")?.unwrap_or("nominal"))?;
-        Ok(SimSource::new(runs, seed, mode))
-    }
-
-    fn new(runs: usize, seed: u64, mode: ControlMode) -> Self {
-        let tvca = Tvca::new(TvcaConfig::default());
-        SimSource {
-            runs,
-            seed,
+    fn from_args(args: &Args<'_>) -> Result<Self, String> {
+        let path: String = args.get("--path")?;
+        let mode = TVCA_PATHS
+            .iter()
+            .find(|(name, _)| *name == path)
+            .map(|&(_, mode)| mode)
+            .ok_or_else(|| format!("unknown path `{path}`"))?;
+        Ok(SimSource {
+            runs: args.get("--runs")?,
+            seed: args.get("--seed")?,
             mode,
-            trace: tvca.trace(mode),
-        }
-    }
-
-    /// Stream the campaign run by run (the `stream --simulate` source).
-    fn replay(&self) -> TraceReplay {
-        TraceReplay::new(
-            PlatformConfig::mbpta_compliant(),
-            self.trace.clone(),
-            self.runs,
-            self.seed,
-        )
+            trace: Tvca::new(TvcaConfig::default()).trace(mode),
+        })
     }
 }
 
-fn analyze_cmd(args: &[String]) -> Result<(), String> {
-    let file = positional(args).ok_or("analyze needs a measurement file")?;
-    let cutoff: f64 = parse_flag(args, "--cutoff", 1e-12)?;
-    let alpha: f64 = parse_flag(args, "--alpha", 0.05)?;
-    let use_cv = args.iter().any(|a| a == "--cv");
-    let want_csv = args.iter().any(|a| a == "--csv");
-
-    let reader = std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?;
-    let campaign = Campaign::from_reader(reader).map_err(|e| e.to_string())?;
-
+fn analyze_cmd(args: &Args<'_>) -> Result<(), String> {
+    let file = args
+        .positional(0)
+        .ok_or("analyze needs a measurement file")?;
+    let cutoff: f64 = args.get("--cutoff")?;
     let mut config = MbptaConfig {
-        alpha,
+        alpha: args.get("--alpha")?,
         ..MbptaConfig::default()
     };
-    if let Some(block) = flag_value(args, "--block")? {
-        let n: usize = block
-            .parse()
-            .map_err(|_| format!("invalid block size `{block}`"))?;
+    if let Some(n) = args.opt("--block")? {
         config.block = BlockSpec::Fixed(n);
     }
+    let campaign = Campaign::from_reader(open_input(Some(file))?).map_err(|e| e.to_string())?;
 
-    if use_cv {
+    if args.given("--cv") {
         let report = analyze_cv(campaign.times(), &config).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "MBPTA-CV: threshold {:.0}, {} exceedances, residual CV {:.3}",
-            report.fit.threshold, report.fit.tail_size, report.fit.cv
-        );
-        println!(
+            report.fit.threshold,
+            report.fit.tail_size,
+            report.fit.cv
+        )?;
+        outln!(
             "i.i.d. gate: Ljung-Box p={:.3}, KS p={:.3}",
-            report.iid.ljung_box.p_value, report.iid.ks.p_value
-        );
+            report.iid.ljung_box.p_value,
+            report.iid.ks.p_value
+        )?;
         let budget = report.budget_for(cutoff).map_err(|e| e.to_string())?;
-        println!("pWCET @ {cutoff:e}: {budget:.0}");
+        outln!("pWCET @ {cutoff:e}: {budget:.0}")
     } else {
         let report = Pipeline::new(config)
             .analyze(campaign.times())
             .map_err(|e| e.to_string())?;
-        print!("{}", render_report(&report));
+        write_stdout(|w| w.write_all(render_report(&report).as_bytes()))?;
         let budget = report.budget_for(cutoff).map_err(|e| e.to_string())?;
-        println!("headline budget @ {cutoff:e}: {budget:.0}");
-        if want_csv {
+        outln!("headline budget @ {cutoff:e}: {budget:.0}")?;
+        if args.given("--csv") {
             let probs: Vec<f64> = (3..=15).map(|e| 10f64.powi(-e)).collect();
             let csv =
                 proxima::mbpta::render_pwcet_csv(&report, &probs).map_err(|e| e.to_string())?;
-            print!("{csv}");
+            write_stdout(|w| w.write_all(csv.as_bytes()))?;
         }
+        Ok(())
     }
-    Ok(())
 }
 
-fn measure_cmd(args: &[String]) -> Result<(), String> {
-    let sim = SimSource::from_args(args, 3000)?;
-    let jobs = flag_value(args, "--jobs")?
-        .map(|raw| {
-            raw.parse::<usize>()
-                .map_err(|_| format!("invalid value for --jobs: `{raw}`"))
-        })
-        .transpose()?;
+fn measure_cmd(args: &Args<'_>) -> Result<(), String> {
+    let sim = SimSource::from_args(args)?;
     // Measure first, print after: a failed campaign must not leave a
     // partial (headers-only) measurement file on stdout.
-    let (campaign, seed_line) = if let Some(jobs) = jobs {
+    let (campaign, seed_line) = if let Some(jobs) = args.opt("--jobs")? {
         let runner = CampaignRunner::new(PlatformConfig::mbpta_compliant()).with_jobs(jobs);
         let campaign = runner
             .run(&sim.trace, sim.runs, sim.seed)
             .map_err(|e| e.to_string())?;
-        let line = format!(
-            "# runs={} master_seed={} jobs={}",
-            sim.runs,
-            sim.seed,
-            runner.jobs()
-        );
-        (campaign, line)
+        let jobs = runner.jobs();
+        (
+            campaign,
+            format!("# runs={} master_seed={} jobs={jobs}", sim.runs, sim.seed),
+        )
     } else {
         let mut platform = Platform::new(PlatformConfig::mbpta_compliant());
         let campaign = Campaign::measure(&mut platform, &sim.trace, sim.runs, sim.seed)
@@ -452,87 +721,21 @@ fn measure_cmd(args: &[String]) -> Result<(), String> {
             format!("# runs={} base_seed={}", sim.runs, sim.seed),
         )
     };
-    println!(
+    outln!(
         "# TVCA path `{}` on the simulated MBPTA-compliant platform",
         sim.mode
-    );
-    println!("{seed_line}");
-    campaign.write_to(std::io::stdout().lock()).or_else(|e| {
-        // A downstream consumer closing early (`measure | stream
-        // --stop-on-converged`, `measure | head`) is a normal way for
-        // this pipeline to end, not a measurement failure.
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            Ok(())
-        } else {
-            Err(e.to_string())
-        }
-    })
+    )?;
+    outln!("{seed_line}")?;
+    write_stdout(|w| campaign.write_to(w))
 }
 
-/// One printed line per estimate, compact enough to tail live. Unlike
-/// `println!`, a closed stdout surfaces as an error the caller can treat
-/// as end-of-interest, not a panic.
-fn print_estimate(
-    channel: Option<&ChannelId>,
-    target_p: f64,
-    est: &EngineEstimate,
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let delta = est
-        .convergence_delta
-        .map_or("-".to_string(), |d| format!("{:.3}%", d * 100.0));
-    let ci = est.ci.map_or("-".to_string(), |ci| {
-        format!("[{:.0}, {:.0}]", ci.lower, ci.upper)
-    });
-    let channel = channel.map_or(String::new(), |c| format!("channel={c} "));
-    writeln!(
-        std::io::stdout().lock(),
-        "snapshot {channel}n={} blocks={} pwcet@{target_p:e}={:.0} ci={ci} delta={delta} hwm={:.0} iid={} {}",
-        est.n,
-        est.blocks.unwrap_or(0),
-        est.pwcet,
-        est.high_watermark,
-        est.iid.map_or("-", |evidence| evidence.label()),
-        if est.converged { "CONVERGED" } else { "settling" },
-    )
-}
-
-/// `Ok(false)` when stdout closed (downstream `| head`): a normal way for
-/// a live tail to end.
-fn emit_estimate(
-    channel: Option<&ChannelId>,
-    target_p: f64,
-    est: &EngineEstimate,
-) -> Result<bool, String> {
-    match print_estimate(channel, target_p, est) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
-        Err(e) => Err(e.to_string()),
-    }
-}
-
-fn stream_cmd(args: &[String]) -> Result<(), String> {
-    let target_p: f64 = parse_flag(args, "--target-p", 1e-12)?;
-    let block: usize = parse_flag(args, "--block", 50)?;
-    let every: usize = parse_flag(args, "--every", 5)?;
-    let sketch = parse_sketch(args)?;
-    let simulate = args.iter().any(|a| a == "--simulate");
-    let stop_on_converged = args.iter().any(|a| a == "--stop-on-converged");
-    if !simulate {
-        // Silently dropping these would leave the user blocked on stdin
-        // wondering why their flags did nothing.
-        for flag in ["--runs", "--seed", "--path"] {
-            if args.iter().any(|a| a == flag) {
-                return Err(format!("{flag} requires --simulate"));
-            }
-        }
-    }
-
+fn stream_cmd(args: &Args<'_>) -> Result<(), String> {
+    let target_p: f64 = args.get("--target-p")?;
     let config = StreamConfig {
-        block_size: block,
-        refit_every_blocks: every,
+        block_size: args.get("--block")?,
+        refit_every_blocks: args.get("--every")?,
         target_p,
-        sketch,
+        sketch: args.get("--sketch")?,
         ..StreamConfig::default()
     };
     // A single-channel session over the streaming engine: polled every
@@ -544,130 +747,44 @@ fn stream_cmd(args: &[String]) -> Result<(), String> {
         .build_stream_with(config) // `config` already carries target_p
         .map_err(|e| e.to_string())?;
 
-    let source: Box<dyn Iterator<Item = Result<f64, String>>> = if simulate {
-        let sim = SimSource::from_args(args, 3000)?;
+    let values: Box<dyn Iterator<Item = Result<f64, String>>> = if args.given("--simulate") {
+        let sim = SimSource::from_args(args)?;
         eprintln!(
             "streaming {} simulated runs of TVCA path `{}` (seed {})",
             sim.runs, sim.mode, sim.seed
         );
-        Box::new(sim.replay().map(Ok))
+        let platform = PlatformConfig::mbpta_compliant();
+        Box::new(TraceReplay::new(platform, sim.trace, sim.runs, sim.seed).map(Ok))
     } else {
-        match positional(args) {
-            Some(file) => {
-                let f =
-                    std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?;
-                Box::new(
-                    LineSource::new(std::io::BufReader::new(f))
-                        .map(|r| r.map_err(|e| e.to_string())),
-                )
-            }
-            None => Box::new(
-                LineSource::new(std::io::BufReader::new(std::io::stdin()))
-                    .map(|r| r.map_err(|e| e.to_string())),
-            ),
-        }
+        Box::new(measurements(args.positional(0))?)
     };
 
     let channel = ChannelId::new("stream");
-    let mut snapshots = 0usize;
-    let mut converged_at: Option<usize> = None;
-    if stop_on_converged {
-        // Convergence-gated stopping is measurement-granular — the feed
-        // must stop at exactly the converging measurement — so this mode
-        // keeps the per-item path.
-        for x in source {
-            let snap = session
-                .push(Tagged::new(channel.clone(), x?))
-                .map_err(|e| e.to_string())?;
-            if let Some(snap) = snap {
-                snapshots += 1;
-                if snap.estimate.converged && converged_at.is_none() {
-                    converged_at = Some(snap.estimate.n);
-                }
-                if !emit_estimate(None, target_p, &snap.estimate)? {
-                    return Ok(());
-                }
-                if snap.estimate.converged {
-                    break;
-                }
-            }
-        }
-    } else {
-        // Bulk path: chunk the feed through `push_batch`, which is
-        // bit-identical to the per-item loop (same snapshots, same final
-        // state) but amortizes sketch and scheduler maintenance.
-        let mut source = source;
-        let mut chunk: Vec<f64> = Vec::with_capacity(FEED_CHUNK);
-        let mut feed_err: Option<String> = None;
-        let mut ended = false;
-        while !ended {
-            chunk.clear();
-            while chunk.len() < FEED_CHUNK {
-                match source.next() {
-                    Some(Ok(x)) => chunk.push(x),
-                    Some(Err(e)) => {
-                        feed_err = Some(e);
-                        ended = true;
-                        break;
-                    }
-                    None => {
-                        ended = true;
-                        break;
-                    }
-                }
-            }
-            let snaps = session
-                .push_batch(channel.clone(), &chunk)
-                .map_err(|e| e.to_string())?;
-            for snap in snaps {
-                snapshots += 1;
-                if snap.estimate.converged && converged_at.is_none() {
-                    converged_at = Some(snap.estimate.n);
-                }
-                if !emit_estimate(None, target_p, &snap.estimate)? {
-                    return Ok(());
-                }
-            }
-            if let Some(e) = feed_err {
-                // Measurements before the bad line are already analysed
-                // and their snapshots printed — same as the per-item loop.
-                return Err(e);
-            }
-        }
-    }
+    let mut feeder = Feeder {
+        target_p,
+        stop_on_converged: args.given("--stop-on-converged"),
+        ..Feeder::default()
+    };
+    let feed = values.map(|x| x.map(|x| Tagged::new(channel.clone(), x)));
+    feeder.ingest(&mut session, feed)?;
     let merged = session.merge();
     let verdict = merged
         .verdict(channel.as_str())
-        .expect("single-channel session")
+        .ok_or("stream feed contained no measurements")?
         .as_ref()
         .map_err(|e| e.to_string())?;
-    {
-        use std::io::Write;
-        let result = writeln!(
-            std::io::stdout().lock(),
-            "final n={} blocks={} pwcet@{target_p:e}={:.0} hwm={:.0} snapshots={snapshots} converged={}",
-            verdict.provenance.n,
-            verdict.fit.n_maxima,
-            verdict.budget_for(target_p).map_err(|e| e.to_string())?,
-            verdict.high_watermark(),
-            converged_at.map_or("no".to_string(), |at| format!("at n={at}")),
-        );
-        match result {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
-            Err(e) => return Err(e.to_string()),
-        }
-    }
-    Ok(())
+    let budget = verdict.budget_for(target_p).map_err(|e| e.to_string())?;
+    outln!(
+        "final n={} blocks={} pwcet@{target_p:e}={budget:.0} hwm={:.0} snapshots={} converged={}",
+        verdict.provenance.n,
+        verdict.fit.n_maxima,
+        verdict.high_watermark(),
+        feeder.snapshots,
+        feeder
+            .converged_at
+            .map_or("no".to_string(), |at| format!("at n={at}")),
+    )
 }
-
-/// The four TVCA paths, as session channels.
-const TVCA_PATHS: &[(&str, ControlMode)] = &[
-    ("nominal", ControlMode::Nominal),
-    ("saturated-x", ControlMode::SaturatedX),
-    ("saturated-y", ControlMode::SaturatedY),
-    ("fault-recovery", ControlMode::FaultRecovery),
-];
 
 /// Everything `--resume` needs to rebuild a session besides the session
 /// blob itself: the engine selection, the analysis knobs, and (for
@@ -711,7 +828,7 @@ impl SessionParams {
     }
 
     fn decode(r: &mut persist::Reader<'_>) -> Result<Self, String> {
-        let mut take = || -> Result<SessionParams, proxima::mbpta::MbptaError> {
+        let mut take = || -> Result<SessionParams, MbptaError> {
             Ok(SessionParams {
                 kind: persist::Decode::decode(r)?,
                 block: r.usize()?,
@@ -769,89 +886,48 @@ fn read_checkpoint(path: &str) -> Result<(SessionParams, usize, Vec<u8>), String
     Ok((params, consumed, blob))
 }
 
-/// Parse and validate the `--checkpoint`/`--checkpoint-every` pair.
-fn checkpoint_spec(args: &[String]) -> Result<Option<(String, usize)>, String> {
-    let path = flag_value(args, "--checkpoint")?;
-    let every: Option<usize> = flag_value(args, "--checkpoint-every")?
-        .map(|raw| {
-            raw.parse()
-                .map_err(|_| format!("invalid value for --checkpoint-every: `{raw}`"))
-        })
-        .transpose()?;
-    match (path, every) {
-        (None, None) => Ok(None),
-        (Some(_), None) => Err("--checkpoint requires --checkpoint-every".into()),
-        (None, Some(_)) => Err("--checkpoint-every requires --checkpoint".into()),
-        (Some(_), Some(0)) => Err("--checkpoint-every must be positive".into()),
-        (Some(path), Some(every)) => Ok(Some((path.to_string(), every))),
+/// The `--checkpoint <path>` / `--checkpoint-every <k>` pair; the flag
+/// table makes the two come together.
+fn checkpoint_spec(args: &Args<'_>) -> Result<Option<(String, usize)>, String> {
+    let Some(path) = args.raw("--checkpoint") else {
+        return Ok(None);
+    };
+    match args.get("--checkpoint-every")? {
+        0 => Err("--checkpoint-every must be positive".into()),
+        every => Ok(Some((path.to_string(), every))),
     }
 }
 
-fn session_cmd(args: &[String]) -> Result<(), String> {
-    let jobs: usize = parse_flag(args, "--jobs", 0)?;
-    let cache_stats = args.iter().any(|a| a == "--cache-stats");
-    let ckpt = checkpoint_spec(args)?;
-    let crash_after: Option<usize> = flag_value(args, "--crash-after")?
-        .map(|raw| {
-            raw.parse()
-                .map_err(|_| format!("invalid value for --crash-after: `{raw}`"))
-        })
-        .transpose()?;
-
-    if let Some(resume_path) = flag_value(args, "--resume")? {
-        // The checkpoint records the full session configuration;
-        // re-specifying engine or analysis flags would either be
-        // redundant or silently conflict with the recorded state.
-        for flag in [
-            "--batch",
-            "--shards",
-            "--block",
-            "--every",
-            "--target-p",
-            "--sketch",
-            "--stop-on-converged",
-            "--simulate",
-            "--runs",
-            "--seed",
-            "--path",
-        ] {
-            if args.iter().any(|a| a == flag) {
-                return Err(format!(
-                    "{flag} conflicts with --resume (the checkpoint already records \
-                     the session configuration)"
-                ));
-            }
+fn session_cmd(args: &Args<'_>) -> Result<(), String> {
+    let (jobs, ckpt) = (args.get("--jobs")?, checkpoint_spec(args)?);
+    let crash_after = args.opt("--crash-after")?;
+    let (params, resume) = match args.raw("--resume") {
+        Some(path) => {
+            let (params, consumed, blob) = read_checkpoint(path)?;
+            eprintln!("resuming from {path}: {consumed} measurements already analysed");
+            (params, Some((consumed, blob)))
         }
-        let (params, consumed, blob) = read_checkpoint(resume_path)?;
-        eprintln!("resuming from {resume_path}: {consumed} measurements already analysed",);
-        return run_session(
-            args,
-            &params,
-            jobs,
-            consumed,
-            Some(&blob),
-            ckpt.as_ref(),
-            crash_after,
-            cache_stats,
-        );
-    }
+        None => (session_params(args)?, None),
+    };
+    let file = args.positional(0);
+    let run = SessionRun {
+        params,
+        file,
+        jobs,
+        ckpt,
+        crash_after,
+        resume,
+    };
+    run.start()
+}
 
-    let target_p: f64 = parse_flag(args, "--target-p", 1e-12)?;
-    let block: usize = parse_flag(args, "--block", 50)?;
-    let every: usize = parse_flag(args, "--every", 250)?;
-    let shards: usize = parse_flag(args, "--shards", 0)?;
-    let sketch = parse_sketch(args)?;
-    let batch = args.iter().any(|a| a == "--batch");
-    let simulate = args.iter().any(|a| a == "--simulate");
-    let stop_on_converged = args.iter().any(|a| a == "--stop-on-converged");
+/// The [`SessionParams`] of a new session, from its flags.
+fn session_params(args: &Args<'_>) -> Result<SessionParams, String> {
+    let shards: usize = args.get("--shards")?;
+    let batch = args.given("--batch");
+    let stop_on_converged = args.given("--stop-on-converged");
     if shards > 0 && batch {
         return Err("--shards applies to the streaming engines; drop --batch".into());
-    }
-    // The batch engine buffers raw measurements and never builds a
-    // sketch; silently accepting the flag would let the user believe it
-    // took effect.
-    if batch && args.iter().any(|a| a == "--sketch") {
-        return Err("--sketch applies to the streaming engines; drop --batch".into());
     }
     // Shards fold at the end and only track per-shard stability, which
     // depends on the shard geometry: convergence-gated stopping would
@@ -867,59 +943,137 @@ fn session_cmd(args: &[String]) -> Result<(), String> {
     // An explicitly requested snapshot cadence would be silently inert:
     // federated engines emit no intermediate estimates (the global
     // estimate exists only at fold time). Say so instead of going quiet.
-    if shards > 0 && args.iter().any(|a| a == "--every") {
+    if shards > 0 && args.given("--every") {
         eprintln!(
             "note: --every has no effect with --shards \
              (federated channels emit no intermediate snapshots)"
         );
     }
-    if !simulate {
-        for flag in ["--runs", "--seed"] {
-            if args.iter().any(|a| a == flag) {
-                return Err(format!("{flag} requires --simulate"));
-            }
-        }
-    }
-    // A session has no single path: silently dropping the flag would run
-    // all four TVCA paths while the user expects one.
-    if args.iter().any(|a| a == "--path") {
-        return Err(
-            "--path is not valid for session (all TVCA paths are measured as channels; \
-             use `stream --simulate --path <name>` for a single path)"
-                .into(),
-        );
-    }
-
-    let params = SessionParams {
-        kind: if batch {
-            EngineKind::Batch
-        } else if shards > 0 {
-            EngineKind::Federated
-        } else {
-            EngineKind::Stream
+    Ok(SessionParams {
+        kind: match (batch, shards) {
+            (true, _) => EngineKind::Batch,
+            (false, 0) => EngineKind::Stream,
+            _ => EngineKind::Federated,
         },
-        block,
-        target_p,
-        every,
+        block: args.get("--block")?,
+        target_p: args.get("--target-p")?,
+        every: args.get("--every")?,
         shards,
-        sketch,
+        sketch: args.get("--sketch")?,
         stop_on_converged,
-        sim: if simulate {
-            Some(sim_params(args, 1500)?)
+        sim: if args.given("--simulate") {
+            Some((args.get("--runs")?, args.get("--seed")?))
         } else {
             None
         },
-    };
-    run_session(
-        args,
-        &params,
-        jobs,
-        0,
-        None,
-        ckpt.as_ref(),
-        crash_after,
-        cache_stats,
-    )
+    })
+}
+
+/// A `session` invocation: the recorded [`SessionParams`], plus the
+/// runtime side a checkpoint never records — the feed file, the worker
+/// threads, the checkpoint target and cadence, the crash injector — and,
+/// on resume, the measurements the checkpoint covers and its session
+/// blob.
+struct SessionRun<'a> {
+    params: SessionParams,
+    file: Option<&'a str>,
+    jobs: usize,
+    ckpt: Option<(String, usize)>,
+    crash_after: Option<usize>,
+    resume: Option<(usize, Vec<u8>)>,
+}
+
+impl SessionRun<'_> {
+    /// Build (or restore) the session, drive the feed through it and
+    /// print the summary.
+    fn start(&self) -> Result<(), String> {
+        let params = &self.params;
+        let consumed = self.resume.as_ref().map_or(0, |(consumed, _)| *consumed);
+        let feed = session_feed(self.file, params, self.jobs, consumed)?;
+        let config = MbptaConfig {
+            block: BlockSpec::Fixed(params.block),
+            ..MbptaConfig::default()
+        };
+        let stream_config = StreamConfig {
+            block_size: params.block,
+            target_p: params.target_p,
+            sketch: params.sketch,
+            ..StreamConfig::default()
+        };
+        let (total, merged) = match params.kind {
+            EngineKind::Batch => {
+                let factory = BatchFactory::new(config.clone(), params.target_p);
+                self.drive(factory, config, feed)?
+            }
+            EngineKind::Federated => {
+                // Federated: each channel routed to per-shard analyzers
+                // folded at merge. With a known per-channel volume
+                // (--simulate) the shards are balanced; for files/stdin
+                // the default block-aligned shard length applies. Reports
+                // are bit-identical at every shard count.
+                let mut fed = FederatedConfig::new(stream_config, params.shards);
+                if let Some((runs, _)) = params.sim {
+                    fed = fed.balanced_for(runs);
+                }
+                self.drive(FederatedFactory::new(fed), config, feed)?
+            }
+            EngineKind::Stream => self.drive(StreamFactory::new(stream_config), config, feed)?,
+            // `EngineKind` is #[non_exhaustive]: a kind added by a future
+            // library version has no CLI wiring here yet.
+            other => return Err(format!("engine kind `{other}` has no session wiring")),
+        };
+        print_summary(total, &merged, params.target_p)
+    }
+
+    /// The build-or-restore step every engine kind shares, then the
+    /// feed. A restore re-arms the checkpoint cadence: it is runtime
+    /// policy (`--checkpoint-every` on this invocation), not persisted
+    /// state. Restores land exactly on a cadence boundary (chunks never
+    /// cross one), so the next checkpoint falls a full period later and
+    /// the file sequence is identical to an uninterrupted run's.
+    fn drive<F: EngineFactory>(
+        &self,
+        factory: Result<F, MbptaError>,
+        config: MbptaConfig,
+        feed: impl Iterator<Item = Result<Tagged, String>>,
+    ) -> Result<(usize, SessionVerdict), String> {
+        let params = &self.params;
+        let factory = factory.map_err(|e| e.to_string())?;
+        let cadence = self.ckpt.as_ref().map_or(0, |(_, every)| *every);
+        let mut session = match &self.resume {
+            Some((_, blob)) => {
+                let mut session = AnalysisSession::restore(factory, blob, self.jobs)
+                    .map_err(|e| e.to_string())?;
+                session.set_checkpoint_every(cadence);
+                session
+            }
+            None => config
+                .session()
+                .snapshot_every(params.every)
+                .checkpoint_every(cadence)
+                .target_p(params.target_p)
+                .jobs(self.jobs)
+                // Converged channels free their engine state immediately;
+                // the feed keeps going until every channel converged (or
+                // runs out).
+                .early_finish(params.stop_on_converged)
+                .build_with(factory)
+                .map_err(|e| e.to_string())?,
+        };
+        let mut feeder = Feeder {
+            tagged: true,
+            target_p: params.target_p,
+            stop_on_converged: params.stop_on_converged,
+            checkpoint: self.ckpt.as_ref().map(|(path, _)| (path.as_str(), params)),
+            crash_after: self.crash_after,
+            ..Feeder::default()
+        };
+        feeder.ingest(&mut session, feed)?;
+        if session.is_empty() {
+            return Err("session feed contained no measurements".into());
+        }
+        Ok((session.len(), session.merge()))
+    }
 }
 
 /// Build the tagged feed a session analyses — the simulated four-path
@@ -927,159 +1081,49 @@ fn session_cmd(args: &[String]) -> Result<(), String> {
 /// — skipping the first `consumed` measurements (already analysed by a
 /// checkpointed run being resumed).
 fn session_feed(
-    args: &[String],
+    file: Option<&str>,
     params: &SessionParams,
     jobs: usize,
     consumed: usize,
 ) -> Result<Box<dyn Iterator<Item = Result<Tagged, String>>>, String> {
-    if let Some((runs, seed)) = params.sim {
-        // All four TVCA paths measured in ONE thread pool (`run_many`
-        // shards the 4 × runs indices over the workers), then replayed
-        // into the session as a round-robin interleaved tagged feed —
-        // the demux workload end to end. The campaign is a pure function
-        // of (runs, seed), so a resumed run regenerates the identical
-        // feed and skips what the checkpoint already covered.
-        let tvca = Tvca::new(TvcaConfig::default());
-        let traces: Vec<Vec<Inst>> = TVCA_PATHS.iter().map(|(_, m)| tvca.trace(*m)).collect();
-        let runner = CampaignRunner::new(PlatformConfig::mbpta_compliant()).with_jobs(jobs);
-        eprintln!(
-            "measuring {runs} runs of {} TVCA paths in one pool (seed {seed}, jobs {})",
-            TVCA_PATHS.len(),
-            runner.jobs()
-        );
-        let campaigns = runner
-            .run_many(&traces, runs, seed)
-            .map_err(|e| e.to_string())?;
-        let channels: Vec<ChannelId> = TVCA_PATHS
-            .iter()
-            .map(|(name, _)| ChannelId::new(name))
-            .collect();
-        let mut tagged: Vec<Tagged> = Vec::with_capacity(TVCA_PATHS.len() * runs);
-        for i in 0..runs {
-            for (channel, campaign) in channels.iter().zip(&campaigns) {
-                tagged.push(Tagged::new(channel.clone(), campaign.times()[i]));
-            }
-        }
-        Ok(Box::new(tagged.into_iter().map(Ok).skip(consumed)))
-    } else {
-        let reader: Box<dyn std::io::BufRead> = match positional(args) {
-            Some(file) => Box::new(std::io::BufReader::new(
-                std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?,
-            )),
-            None => Box::new(std::io::BufReader::new(std::io::stdin())),
-        };
-        Ok(Box::new(tagged_lines(reader).skip(consumed)))
-    }
-}
-
-/// Restore a checkpointed session and re-arm its checkpoint cadence:
-/// the cadence is runtime policy (`--checkpoint-every` on this
-/// invocation), not part of the persisted state, so a restore always
-/// re-applies it. Restores land exactly on a cadence boundary (chunks
-/// never cross one), so the next checkpoint falls a full period later —
-/// the file sequence is identical to an uninterrupted run.
-fn restore_session<F: EngineFactory>(
-    factory: F,
-    blob: &[u8],
-    jobs: usize,
-    cadence: usize,
-) -> Result<AnalysisSession<F>, String> {
-    let mut session = AnalysisSession::restore(factory, blob, jobs).map_err(|e| e.to_string())?;
-    session.set_checkpoint_every(cadence);
-    Ok(session)
-}
-
-/// Build (or restore, when `resume_blob` is set) the session described
-/// by `params` and drive the feed through it.
-#[allow(clippy::too_many_arguments)]
-fn run_session(
-    args: &[String],
-    params: &SessionParams,
-    jobs: usize,
-    consumed: usize,
-    resume_blob: Option<&[u8]>,
-    ckpt: Option<&(String, usize)>,
-    crash_after: Option<usize>,
-    cache_stats: bool,
-) -> Result<(), String> {
-    let feed = session_feed(args, params, jobs, consumed)?;
-    // The checkpoint cadence lives on the session itself (satellite of
-    // PR 7): `until_checkpoint`/`checkpoint_due` drive both this CLI and
-    // the `serve` subsystem from the same counter.
-    let cadence = ckpt.map_or(0, |(_, every)| *every);
-    let builder = MbptaConfig {
-        block: BlockSpec::Fixed(params.block),
-        ..MbptaConfig::default()
-    }
-    .session()
-    .snapshot_every(params.every)
-    .checkpoint_every(cadence)
-    .target_p(params.target_p)
-    .jobs(jobs)
-    // Converged channels free their engine state immediately; the feed
-    // keeps going until every channel converged (or runs out).
-    .early_finish(params.stop_on_converged);
-
-    let stream_config = StreamConfig {
-        block_size: params.block,
-        target_p: params.target_p,
-        sketch: params.sketch,
-        ..StreamConfig::default()
+    let Some((runs, seed)) = params.sim else {
+        return Ok(Box::new(tagged_lines(open_input(file)?).skip(consumed)));
     };
-    match params.kind {
-        EngineKind::Batch => {
-            let config = MbptaConfig {
-                block: BlockSpec::Fixed(params.block),
-                ..MbptaConfig::default()
-            };
-            let factory = BatchFactory::new(config, params.target_p).map_err(|e| e.to_string())?;
-            let session = match resume_blob {
-                Some(blob) => restore_session(factory, blob, jobs, cadence)?,
-                None => builder.build_with(factory).map_err(|e| e.to_string())?,
-            };
-            drive_session(session, feed, params, ckpt, crash_after, cache_stats)
+    // All four TVCA paths measured in ONE thread pool (`run_many` shards
+    // the 4 × runs indices over the workers), then replayed into the
+    // session as a round-robin interleaved tagged feed — the demux
+    // workload end to end. The campaign is a pure function of (runs,
+    // seed), so a resumed run regenerates the identical feed and skips
+    // what the checkpoint already covered.
+    let tvca = Tvca::new(TvcaConfig::default());
+    let traces: Vec<Vec<Inst>> = TVCA_PATHS.iter().map(|(_, m)| tvca.trace(*m)).collect();
+    let runner = CampaignRunner::new(PlatformConfig::mbpta_compliant()).with_jobs(jobs);
+    eprintln!(
+        "measuring {runs} runs of {} TVCA paths in one pool (seed {seed}, jobs {})",
+        TVCA_PATHS.len(),
+        runner.jobs()
+    );
+    let campaigns = runner
+        .run_many(&traces, runs, seed)
+        .map_err(|e| e.to_string())?;
+    let channels: Vec<ChannelId> = TVCA_PATHS
+        .iter()
+        .map(|(name, _)| ChannelId::new(name))
+        .collect();
+    let mut tagged: Vec<Tagged> = Vec::with_capacity(TVCA_PATHS.len() * runs);
+    for i in 0..runs {
+        for (channel, campaign) in channels.iter().zip(&campaigns) {
+            tagged.push(Tagged::new(channel.clone(), campaign.times()[i]));
         }
-        EngineKind::Federated => {
-            // Federated: each channel routed to per-shard analyzers
-            // folded at merge. With a known per-channel volume
-            // (--simulate) the shards are balanced; for files/stdin the
-            // default block-aligned shard length applies. Reports are
-            // bit-identical at every shard count.
-            let mut config = FederatedConfig::new(stream_config, params.shards);
-            if let Some((runs, _)) = params.sim {
-                config = config.balanced_for(runs);
-            }
-            let factory = FederatedFactory::new(config).map_err(|e| e.to_string())?;
-            let session = match resume_blob {
-                Some(blob) => restore_session(factory, blob, jobs, cadence)?,
-                None => builder.build_with(factory).map_err(|e| e.to_string())?,
-            };
-            drive_session(session, feed, params, ckpt, crash_after, cache_stats)
-        }
-        EngineKind::Stream => {
-            let factory = StreamFactory::new(stream_config).map_err(|e| e.to_string())?;
-            let session = match resume_blob {
-                Some(blob) => restore_session(factory, blob, jobs, cadence)?,
-                None => builder.build_with(factory).map_err(|e| e.to_string())?,
-            };
-            drive_session(session, feed, params, ckpt, crash_after, cache_stats)
-        }
-        // `EngineKind` is #[non_exhaustive]: a kind added by a future
-        // library version has no CLI wiring here yet.
-        other => Err(format!("engine kind `{other}` has no session wiring")),
     }
+    Ok(Box::new(tagged.into_iter().map(Ok).skip(consumed)))
 }
-
-/// How many measurements the CLI buffers per `push_batch` call. Large
-/// enough to amortize sketch compaction and scheduler scans, small enough
-/// to keep live tails responsive on slow feeds.
-const FEED_CHUNK: usize = 4096;
 
 /// Parse a tagged-line reader (`<channel> <time>`, blank lines and `#`
 /// comments skipped) into a feed. Zero-copy: each line is parsed as a
 /// byte slice straight out of the reader's buffer ([`ByteLines`]), with
 /// no intermediate `String` per line.
-fn tagged_lines(reader: impl std::io::BufRead) -> impl Iterator<Item = Result<Tagged, String>> {
+fn tagged_lines(reader: impl BufRead) -> impl Iterator<Item = Result<Tagged, String>> {
     let mut lines = ByteLines::new(reader);
     std::iter::from_fn(move || loop {
         match lines.next_line(|line_no, bytes| {
@@ -1102,376 +1146,248 @@ fn tagged_lines(reader: impl std::io::BufRead) -> impl Iterator<Item = Result<Ta
     })
 }
 
-/// Bulk-ingest one same-channel run of measurements, emitting scheduled
-/// snapshots and honouring the checkpoint / crash-injection cadence
-/// exactly as the per-item loop does: no chunk ever crosses a checkpoint
-/// boundary or the crash point, so the checkpoint file sequence, the
-/// crash position and the printed snapshots are all byte-identical to an
-/// itemized feed. `Ok(false)` means stdout closed (downstream `| head`).
-fn feed_run<F: EngineFactory>(
-    session: &mut AnalysisSession<F>,
-    channel: &ChannelId,
-    xs: &[f64],
-    params: &SessionParams,
-    ckpt: Option<&(String, usize)>,
+/// Feeds a measurement stream through a session for `stream` and
+/// `session`: prints the snapshots, writes the checkpoints that fall due
+/// and injects the `--crash-after` crash.
+#[derive(Default)]
+struct Feeder<'a> {
+    /// Snapshot lines name their channel (`session`); `stream` has one.
+    tagged: bool,
+    target_p: f64,
+    /// Stop once every channel seen so far has converged.
+    stop_on_converged: bool,
+    /// The checkpoint file, and the parameters recorded in it.
+    checkpoint: Option<(&'a str, &'a SessionParams)>,
     crash_after: Option<usize>,
-) -> Result<bool, String> {
-    let mut rest = xs;
-    while !rest.is_empty() {
-        let mut take = rest.len();
-        // The session tracks its own cadence (`checkpoint_every` is set
-        // from --checkpoint-every at build/restore time): cut the chunk
-        // so checkpoint positions are independent of the chunking.
-        if let Some(until) = session.until_checkpoint() {
-            take = take.min(until.max(1));
+    /// Snapshots printed so far.
+    snapshots: usize,
+    /// `n` of the first converged snapshot.
+    converged_at: Option<usize>,
+}
+
+impl Feeder<'_> {
+    /// Ingest `feed`. Consecutive same-channel measurements are
+    /// bulk-ingested through [`AnalysisSession::push_batch`]; an
+    /// interleaved feed degrades to per-item pushes, which keeps the
+    /// ingest order — and so the report — exactly as fed.
+    /// `--stop-on-converged` pushes item by item: it must stop at exactly
+    /// the converging measurement.
+    fn ingest<F: EngineFactory>(
+        &mut self,
+        session: &mut AnalysisSession<F>,
+        feed: impl Iterator<Item = Result<Tagged, String>>,
+    ) -> Result<(), String> {
+        if !self.stop_on_converged {
+            let runs = feed.map(|item| item.map(|t| (t.channel, t.time)));
+            return feed_chunks(runs, FEED_CHUNK, |channel, xs| {
+                self.feed_run(session, channel, xs)
+            });
         }
-        if let Some(n) = crash_after {
-            take = take.min(n.saturating_sub(session.len()).max(1));
-        }
-        let (chunk, tail) = rest.split_at(take);
-        rest = tail;
-        let snaps = session
-            .push_batch(channel.clone(), chunk)
-            .map_err(|e| e.to_string())?;
-        for snap in snaps {
-            if !emit_estimate(Some(&snap.channel), params.target_p, &snap.estimate)? {
-                return Ok(false);
+        for tagged in feed {
+            if let Some(snap) = session.push(tagged?).map_err(|e| e.to_string())? {
+                self.emit(&snap)?;
+                if snap.estimate.converged && session.all_converged() {
+                    if self.tagged {
+                        // NOTE: "every channel" means every channel *seen
+                        // so far* — a sequentially ordered file (all of
+                        // channel A, then B) would stop after A. Make the
+                        // early stop loud so an incomplete envelope is
+                        // diagnosable.
+                        eprintln!(
+                            "stopping early: all {} channel(s) seen so far converged \
+                             (total={} measurements; channels appearing later in the \
+                             feed are not analysed)",
+                            session.channel_count(),
+                            session.len(),
+                        );
+                    }
+                    break;
+                }
             }
+            self.after_push(session)?;
         }
-        if let Some((path, _)) = ckpt {
+        Ok(())
+    }
+
+    /// Bulk-ingest one same-channel run. No chunk crosses a checkpoint
+    /// boundary or the crash point, so the checkpoint files, the crash
+    /// position and the printed snapshots are all byte-identical to an
+    /// item-by-item feed.
+    fn feed_run<F: EngineFactory>(
+        &mut self,
+        session: &mut AnalysisSession<F>,
+        channel: &ChannelId,
+        xs: &[f64],
+    ) -> Result<(), String> {
+        let mut rest = xs;
+        while !rest.is_empty() {
+            let mut take = rest.len();
+            if let Some(until) = session.until_checkpoint() {
+                take = take.min(until.max(1));
+            }
+            if let Some(n) = self.crash_after {
+                take = take.min(n.saturating_sub(session.len()).max(1));
+            }
+            let (chunk, tail) = rest.split_at(take);
+            rest = tail;
+            let snaps = session
+                .push_batch(channel.clone(), chunk)
+                .map_err(|e| e.to_string())?;
+            for snap in &snaps {
+                self.emit(snap)?;
+            }
+            self.after_push(session)?;
+        }
+        Ok(())
+    }
+
+    /// Print one snapshot line, compact enough to tail live.
+    fn emit(&mut self, snap: &SessionSnapshot) -> Result<(), String> {
+        let est = &snap.estimate;
+        self.snapshots += 1;
+        if est.converged && self.converged_at.is_none() {
+            self.converged_at = Some(est.n);
+        }
+        let delta = est
+            .convergence_delta
+            .map_or("-".to_string(), |d| format!("{:.3}%", d * 100.0));
+        let ci = est.ci.map_or("-".to_string(), |ci| {
+            format!("[{:.0}, {:.0}]", ci.lower, ci.upper)
+        });
+        let channel = if self.tagged {
+            format!("channel={} ", snap.channel)
+        } else {
+            String::new()
+        };
+        outln!(
+            "snapshot {channel}n={} blocks={} pwcet@{:e}={:.0} ci={ci} delta={delta} hwm={:.0} iid={} {}",
+            est.n,
+            est.blocks.unwrap_or(0),
+            self.target_p,
+            est.pwcet,
+            est.high_watermark,
+            est.iid.map_or("-", |evidence| evidence.label()),
+            if est.converged { "CONVERGED" } else { "settling" },
+        )
+    }
+
+    /// After every push: write the checkpoint if one fell due, then
+    /// crash if the session reached `--crash-after`.
+    fn after_push<F: EngineFactory>(&self, session: &mut AnalysisSession<F>) -> Result<(), String> {
+        if let Some((path, params)) = self.checkpoint {
             if session.checkpoint_due() {
                 write_checkpoint(path, params, session)?;
             }
         }
-        if crash_after.is_some_and(|n| session.len() >= n) {
+        if self.crash_after.is_some_and(|n| session.len() >= n) {
             // Deterministic crash injection for the restart-determinism
-            // CI job: die hard, no unwinding, no cleanup — exactly like
-            // a kill -9 mid-campaign. The last atomic checkpoint (if
-            // any) is what a resume sees.
+            // CI job: die hard, no unwinding, no cleanup — exactly like a
+            // kill -9 mid-campaign. The last atomic checkpoint (if any)
+            // is what a resume sees.
             eprintln!(
                 "crashing after {} measurements (--crash-after)",
                 session.len()
             );
             std::process::abort();
         }
+        Ok(())
     }
-    Ok(true)
 }
 
-/// Ingest a tagged feed, print scheduled snapshots, write checkpoints at
-/// the configured cadence, merge, and print the per-channel verdicts
-/// plus the program-level envelope.
-///
-/// Consecutive same-channel measurements are buffered and bulk-ingested
-/// through [`AnalysisSession::push_batch`] (interleaved feeds degrade
-/// gracefully to per-item pushes, which keeps the ingest order — and so
-/// the report — exactly as fed). `--stop-on-converged` keeps the
-/// per-item path: it must stop at exactly the converging measurement.
-fn drive_session<F: EngineFactory>(
-    mut session: AnalysisSession<F>,
-    feed: impl Iterator<Item = Result<Tagged, String>>,
-    params: &SessionParams,
-    ckpt: Option<&(String, usize)>,
-    crash_after: Option<usize>,
-    cache_stats: bool,
-) -> Result<(), String> {
-    let target_p = params.target_p;
-    let stop_on_converged = params.stop_on_converged;
-    if stop_on_converged {
-        for tagged in feed {
-            let snap = session.push(tagged?).map_err(|e| e.to_string())?;
-            if let Some(snap) = snap {
-                if !emit_estimate(Some(&snap.channel), target_p, &snap.estimate)? {
-                    return Ok(());
-                }
-                if snap.estimate.converged && session.all_converged() {
-                    // NOTE: "every channel" means every channel *seen so
-                    // far* — a sequentially ordered file (all of channel A,
-                    // then B) would stop after A. Make the early stop loud
-                    // so an incomplete envelope is diagnosable.
-                    eprintln!(
-                        "stopping early: all {} channel(s) seen so far converged \
-                         (total={} measurements; channels appearing later in the \
-                         feed are not analysed)",
-                        session.channel_count(),
-                        session.len(),
-                    );
-                    break;
-                }
-            }
-            if let Some((path, _)) = ckpt {
-                if session.checkpoint_due() {
-                    write_checkpoint(path, params, &mut session)?;
-                }
-            }
-            if crash_after.is_some_and(|n| session.len() >= n) {
-                eprintln!(
-                    "crashing after {} measurements (--crash-after)",
-                    session.len()
-                );
-                std::process::abort();
-            }
-        }
-    } else {
-        let mut run_channel: Option<ChannelId> = None;
-        let mut run: Vec<f64> = Vec::with_capacity(FEED_CHUNK);
-        for tagged in feed {
-            match tagged {
-                Ok(Tagged { channel, time }) => {
-                    let switching = run_channel.as_ref().is_some_and(|c| *c != channel);
-                    if switching || run.len() >= FEED_CHUNK {
-                        if let Some(ch) = run_channel.take() {
-                            if !feed_run(&mut session, &ch, &run, params, ckpt, crash_after)? {
-                                return Ok(());
-                            }
-                            run.clear();
-                        }
-                    }
-                    run_channel = Some(channel);
-                    run.push(time);
-                }
-                Err(e) => {
-                    // Flush what came before the bad line first: those
-                    // measurements are already analysed in the per-item
-                    // loop too, snapshots and checkpoints included.
-                    if let Some(ch) = run_channel.take() {
-                        if !feed_run(&mut session, &ch, &run, params, ckpt, crash_after)? {
-                            return Ok(());
-                        }
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        if let Some(ch) = run_channel.take() {
-            if !feed_run(&mut session, &ch, &run, params, ckpt, crash_after)? {
-                return Ok(());
-            }
+/// Print the per-channel verdicts and the program-level envelope. A
+/// failed channel fails the command, after the healthy ones are
+/// reported.
+fn print_summary(total: usize, merged: &SessionVerdict, target_p: f64) -> Result<(), String> {
+    outln!("session total={total} channels={}", merged.channels().len())?;
+    for cv in merged.channels() {
+        match &cv.outcome {
+            Ok(v) => outln!(
+                "channel {} n={} engine={} pwcet@{target_p:e}={:.0} hwm={:.0} iid={}{}",
+                cv.channel,
+                v.provenance.n,
+                v.provenance.engine,
+                v.budget_for(target_p).unwrap_or(f64::NAN),
+                v.high_watermark(),
+                v.iid.label(),
+                match v.provenance.converged {
+                    Some(true) => " CONVERGED",
+                    Some(false) => " settling",
+                    None => "",
+                },
+            )?,
+            Err(e) => outln!(
+                "channel {} FAILED: {e}{}",
+                cv.channel,
+                if cv.dropped > 0 {
+                    format!(" ({} measurements dropped)", cv.dropped)
+                } else {
+                    String::new()
+                },
+            )?,
         }
     }
-    if session.is_empty() {
-        return Err("session feed contained no measurements".into());
+    match merged.envelope_budget(target_p) {
+        Ok((worst, budget)) => outln!(
+            "envelope pwcet@{target_p:e}={budget:.0} (worst channel: {worst}) hwm={:.0}",
+            merged.high_watermark(),
+        )?,
+        Err(e) => outln!("envelope UNAVAILABLE: {e}")?,
     }
-    let total = session.len();
-    let merged = session.merge();
-
-    // Satellite of PR 7: the summary answers every budget question
-    // through the same fingerprint-keyed cache discipline the `serve`
-    // subsystem uses ([`proxima::serve::cache`]). Keys fold in the
-    // session configuration (the encoded `SessionParams`), the channel,
-    // its analysed count and the probability — so the envelope pass
-    // below re-reads the per-channel budgets as O(1) hits instead of
-    // re-walking each fitted tail. Output is byte-identical to the
-    // uncached path; `--cache-stats` reports the accounting on stderr.
-    let fingerprint = {
-        let mut w = persist::Writer::new();
-        params.encode(&mut w);
-        persist::fnv1a(&w.into_bytes())
-    };
-    let mut cache = VerdictCache::new(64);
-    let budget_at = |cache: &mut VerdictCache, channel: &ChannelId, v: &Verdict| -> Option<f64> {
-        let key = query_key(
-            fingerprint,
-            3,
-            channel.as_str(),
-            v.provenance.n as u64,
-            target_p.to_bits(),
-        );
-        if let Some(bytes) = cache.get(key) {
-            if let Ok(raw) = <[u8; 8]>::try_from(bytes.as_slice()) {
-                return Some(f64::from_le_bytes(raw));
-            }
-        }
-        let budget = v.budget_for(target_p).ok()?;
-        cache.insert(key, budget.to_le_bytes().to_vec());
-        Some(budget)
-    };
-
-    use std::io::Write;
-    let mut out = std::io::stdout().lock();
-    // The summary closure mutably borrows `cache`; scoping it releases
-    // the borrow before the stderr counter dump below.
-    let summary_result = {
-        let mut print_summary = || -> std::io::Result<()> {
-            writeln!(
-                out,
-                "session total={total} channels={}",
-                merged.channels().len()
-            )?;
-            for cv in merged.channels() {
-                match &cv.outcome {
-                    Ok(v) => writeln!(
-                        out,
-                        "channel {} n={} engine={} pwcet@{target_p:e}={:.0} hwm={:.0} iid={}{}",
-                        cv.channel,
-                        v.provenance.n,
-                        v.provenance.engine,
-                        budget_at(&mut cache, &cv.channel, v).unwrap_or(f64::NAN),
-                        v.high_watermark(),
-                        v.iid.label(),
-                        match v.provenance.converged {
-                            Some(true) => " CONVERGED",
-                            Some(false) => " settling",
-                            None => "",
-                        },
-                    )?,
-                    Err(e) => writeln!(
-                        out,
-                        "channel {} FAILED: {e}{}",
-                        cv.channel,
-                        if cv.dropped > 0 {
-                            format!(" ({} measurements dropped)", cv.dropped)
-                        } else {
-                            String::new()
-                        },
-                    )?,
-                }
-            }
-            // The envelope is the worst cached budget — every lookup below
-            // was primed by the per-channel lines above, so this pass is all
-            // cache hits. Semantics mirror `SessionVerdict::envelope_budget`
-            // exactly (first strict maximum wins; any budget error defers to
-            // the library call so the message construction is identical).
-            let envelope = {
-                let mut best: Option<(&ChannelId, f64)> = None;
-                let mut complete = true;
-                for (id, v) in merged.ok_channels() {
-                    match budget_at(&mut cache, id, v) {
-                        Some(budget) => {
-                            if best.is_none_or(|(_, cur)| budget > cur) {
-                                best = Some((id, budget));
-                            }
-                        }
-                        None => {
-                            complete = false;
-                            break;
-                        }
-                    }
-                }
-                match best {
-                    Some(found) if complete => Ok(found),
-                    _ => merged.envelope_budget(target_p),
-                }
-            };
-            match envelope {
-                Ok((worst, budget)) => writeln!(
-                    out,
-                    "envelope pwcet@{target_p:e}={budget:.0} (worst channel: {worst}) hwm={:.0}",
-                    merged.high_watermark(),
-                ),
-                Err(e) => writeln!(out, "envelope UNAVAILABLE: {e}"),
-            }
-        };
-        print_summary()
-    };
-    match summary_result {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
-        Err(e) => return Err(e.to_string()),
-    }
-    if cache_stats {
-        // Stderr only: the determinism batteries diff stdout.
-        eprintln!(
-            "cache stats: hits={} misses={} insertions={} evictions={} len={} capacity={}",
-            cache.hits(),
-            cache.misses(),
-            cache.insertions(),
-            cache.evictions(),
-            cache.len(),
-            cache.capacity(),
-        );
-    }
-    if !merged.all_ok() {
-        return Err(format!(
-            "{} of {} channels failed",
-            merged.failures().count(),
+    match merged.failures().count() {
+        0 => Ok(()),
+        failed => Err(format!(
+            "{failed} of {} channels failed",
             merged.channels().len()
-        ));
+        )),
     }
-    Ok(())
 }
 
 /// `mbpta serve`: bind (or resume) the framed-TCP analysis service and
 /// run its accept loop until a SHUTDOWN frame arrives.
-fn serve_cmd(args: &[String]) -> Result<(), String> {
-    let addr = flag_value(args, "--addr")?.unwrap_or("127.0.0.1:0");
-    let jobs: usize = parse_flag(args, "--jobs", 0)?;
-    let max_conns: usize = parse_flag(args, "--max-conns", 0)?;
-    let crash_after: Option<usize> = flag_value(args, "--crash-after")?
-        .map(|raw| {
-            raw.parse()
-                .map_err(|_| format!("invalid value for --crash-after: `{raw}`"))
-        })
-        .transpose()?;
+fn serve_cmd(args: &Args<'_>) -> Result<(), String> {
+    let addr: String = args.get("--addr")?;
+    let jobs: usize = args.get("--jobs")?;
+    let max_conns: usize = args.get("--max-conns")?;
+    let crash_after: Option<usize> = args.opt("--crash-after")?;
 
-    let server = if let Some(resume_path) = flag_value(args, "--resume")? {
-        // The checkpoint records the serve configuration; re-specifying
-        // analysis or cache flags would silently conflict with it.
-        // `--workers` is deliberately allowed: the manifest records the
-        // old worker count, and resume re-partitions to the new one.
-        for flag in [
-            "--target-p",
-            "--block",
-            "--every",
-            "--sketch",
-            "--cache-capacity",
-            "--cache-ttl",
-            "--checkpoint",
-            "--checkpoint-every",
-        ] {
-            if args.iter().any(|a| a == flag) {
-                return Err(format!(
-                    "{flag} conflicts with --resume (the checkpoint already records \
-                     the serve configuration)"
-                ));
-            }
-        }
+    let server = if let Some(resume_path) = args.raw("--resume") {
+        // `--workers` re-partitions the restored channels to a new worker
+        // count; 0 keeps the count the manifest records.
         let opts = proxima::serve::ResumeOptions {
             jobs,
             crash_after,
-            workers: parse_flag(args, "--workers", 0)?,
+            workers: args.opt("--workers")?.unwrap_or(0),
             max_conns,
         };
         eprintln!("resuming from {resume_path}");
-        Server::resume(addr, resume_path, opts).map_err(|e| e.to_string())?
+        Server::resume(&addr, resume_path, opts).map_err(|e| e.to_string())?
     } else {
-        let target_p: f64 = parse_flag(args, "--target-p", 1e-12)?;
-        let block: usize = parse_flag(args, "--block", 50)?;
-        let every: usize = parse_flag(args, "--every", 250)?;
-        let cache_capacity: usize = parse_flag(args, "--cache-capacity", 256)?;
-        let cache_ttl: u64 = parse_flag(args, "--cache-ttl", 0)?;
-        let workers: usize = parse_flag(args, "--workers", 1)?;
-        let (checkpoint_path, checkpoint_every) = match checkpoint_spec(args)? {
-            Some((path, every)) => (Some(std::path::PathBuf::from(path)), every),
-            None => (None, 0),
-        };
+        let ckpt = checkpoint_spec(args)?;
         let config = ServeConfig {
             stream: StreamConfig {
-                block_size: block,
-                target_p,
-                sketch: parse_sketch(args)?,
+                block_size: args.get("--block")?,
+                target_p: args.get("--target-p")?,
+                sketch: args.get("--sketch")?,
                 ..StreamConfig::default()
             },
-            snapshot_every: every,
-            checkpoint_path,
-            checkpoint_every,
-            cache_capacity,
-            cache_ttl,
-            workers,
+            snapshot_every: args.get("--every")?,
+            checkpoint_every: ckpt.as_ref().map_or(0, |(_, every)| *every),
+            checkpoint_path: ckpt.map(|(path, _)| path.into()),
+            cache_capacity: args.get("--cache-capacity")?,
+            cache_ttl: args.get("--cache-ttl")?,
+            workers: args.opt("--workers")?.unwrap_or(1),
             max_conns,
             jobs,
             crash_after,
         };
-        Server::bind(addr, config).map_err(|e| e.to_string())?
+        Server::bind(&addr, config).map_err(|e| e.to_string())?
     };
-    {
-        // Parseable readiness line on stdout (the CI smoke job and the
-        // subprocess tests read the OS-assigned port back from it).
-        use std::io::Write;
-        let mut out = std::io::stdout().lock();
-        writeln!(out, "listening on {}", server.local_addr()).map_err(|e| e.to_string())?;
-        out.flush().map_err(|e| e.to_string())?;
-    }
+    // Parseable readiness line on stdout (the CI smoke job and the
+    // subprocess tests read the OS-assigned port back from it).
+    write_stdout(|w| {
+        writeln!(w, "listening on {}", server.local_addr())?;
+        w.flush()
+    })?;
     server.run().map_err(|e| e.to_string())
 }
 
@@ -1479,9 +1395,9 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 /// `call snapshot`). The client does not know the server's target
 /// cutoff, so the line carries the estimate's own pWCET rather than a
 /// `pwcet@p` label.
-fn print_wire_snapshot(snap: &WireSnapshot) {
+fn print_wire_snapshot(snap: &WireSnapshot) -> Result<(), String> {
     let est = &snap.estimate;
-    println!(
+    outln!(
         "snapshot channel={} n={} blocks={} pwcet={:.0} hwm={:.0} iid={} {}",
         snap.channel,
         est.n,
@@ -1494,280 +1410,263 @@ fn print_wire_snapshot(snap: &WireSnapshot) {
         } else {
             "settling"
         },
-    );
+    )
 }
 
-/// `mbpta call`: one request/response exchange with a running server
-/// (`ingest` streams many frames over the one connection).
-fn call_cmd(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args);
-    let (addr, verb, rest) = match pos.as_slice() {
-        [addr, verb, rest @ ..] => (*addr, *verb, rest),
-        _ => {
-            return Err("call needs <addr> and a verb \
-                 (ingest|snapshot|verdict|merge|checkpoint|stats|shutdown)"
-                .into())
-        }
-    };
-    let mut client =
-        ServeClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    match verb {
-        "ingest" => {
-            let (channel, file) = match rest {
-                [channel] => (*channel, None),
-                [channel, file] => (*channel, Some(*file)),
-                _ => return Err("call ingest needs <channel> [<file>]".into()),
-            };
-            let skip: usize = parse_flag(args, "--skip", 0)?;
-            let chunk: usize = parse_flag(args, "--chunk", 512)?;
-            if chunk == 0 {
-                return Err("--chunk must be positive".into());
-            }
-            let source: Box<dyn Iterator<Item = Result<f64, String>>> = match file {
-                Some(file) => {
-                    let f = std::fs::File::open(file)
-                        .map_err(|e| format!("cannot open {file}: {e}"))?;
-                    Box::new(
-                        LineSource::new(std::io::BufReader::new(f))
-                            .map(|r| r.map_err(|e| e.to_string())),
-                    )
-                }
-                None => Box::new(
-                    LineSource::new(std::io::BufReader::new(std::io::stdin()))
-                        .map(|r| r.map_err(|e| e.to_string())),
-                ),
-            };
-            // The --skip prefix is what a restarted server already
-            // holds (`call stats` → total): resending from there makes
-            // the resumed feed order identical to an uninterrupted one.
-            let mut sent = 0u64;
-            let mut last: Option<(u64, u64)> = None;
-            let mut values: Vec<f64> = Vec::with_capacity(chunk);
-            let mut send = |values: &mut Vec<f64>, sent: &mut u64| -> Result<(u64, u64), String> {
-                let (channel_len, total, snapshots) =
-                    client.ingest(channel, values).map_err(|e| e.to_string())?;
-                *sent += values.len() as u64;
-                values.clear();
-                for snap in &snapshots {
-                    print_wire_snapshot(snap);
-                }
-                Ok((channel_len, total))
-            };
-            for x in source.skip(skip) {
-                values.push(x?);
-                if values.len() == chunk {
-                    last = Some(send(&mut values, &mut sent)?);
-                }
-            }
-            if !values.is_empty() {
-                last = Some(send(&mut values, &mut sent)?);
-            }
-            match last {
-                Some((channel_len, total)) => println!(
-                    "ingested {sent} measurements into channel {channel} \
-                     (channel n={channel_len}, session total={total})"
-                ),
-                None => println!("ingested 0 measurements into channel {channel}"),
-            }
-            Ok(())
-        }
-        "snapshot" => {
-            let [channel] = rest else {
-                return Err("call snapshot needs <channel>".into());
-            };
-            match client.snapshot(channel).map_err(|e| e.to_string())? {
-                Some(snap) => print_wire_snapshot(&snap),
-                None => println!("no snapshot yet for channel {channel}"),
-            }
-            Ok(())
-        }
-        "verdict" => {
-            if !rest.is_empty() {
-                return Err("call verdict takes flags only (--p, --channel)".into());
-            }
-            let p: f64 = parse_flag(args, "--p", 1e-12)?;
-            let channel = flag_value(args, "--channel")?;
-            let response = client.verdict(p, channel).map_err(|e| e.to_string())?;
-            let Response::Verdicts {
-                p,
-                channels,
-                envelope,
-            } = response
-            else {
-                return Err("unexpected response shape".into());
-            };
-            for (name, outcome) in &channels {
-                match outcome {
-                    Ok(v) => {
-                        // The raw budget bits ride along so the CI
-                        // drills can diff for *bit* identity, not just
-                        // identical rounding.
-                        let budget = v.budget_for(p).unwrap_or(f64::NAN);
-                        println!(
-                            "channel {name} n={} pwcet@{p:e}={budget:.0} \
-                             bits=0x{:016x} hwm={:.0} iid={}",
-                            v.provenance.n,
-                            budget.to_bits(),
-                            v.high_watermark(),
-                            v.iid.label(),
-                        );
-                    }
-                    Err(e) => println!("channel {name} FAILED: {e}"),
-                }
-            }
-            match envelope {
-                Ok((worst, budget)) => println!(
-                    "envelope pwcet@{p:e}={budget:.0} bits=0x{:016x} (worst channel: {worst})",
-                    budget.to_bits(),
-                ),
-                Err(e) => println!("envelope UNAVAILABLE: {e}"),
-            }
-            Ok(())
-        }
-        "merge" => {
-            let [channel, blob_file] = rest else {
-                return Err("call merge needs <channel> <blob-file>".into());
-            };
-            let blob =
-                std::fs::read(blob_file).map_err(|e| format!("cannot open {blob_file}: {e}"))?;
-            let (channel_len, total) = client.merge(channel, &blob).map_err(|e| e.to_string())?;
-            println!(
-                "merged {blob_file} into channel {channel} \
-                 (channel n={channel_len}, session total={total})"
-            );
-            Ok(())
-        }
-        "checkpoint" => {
-            let bytes = client.checkpoint().map_err(|e| e.to_string())?;
-            println!("checkpoint written ({bytes} bytes)");
-            Ok(())
-        }
-        "stats" => {
-            let s = client.stats().map_err(|e| e.to_string())?;
-            // One `name=value` per line: the CI smoke job greps these
-            // (`grep '^total=' | cut -d= -f2`).
-            println!("total={}", s.total);
-            println!("channels={}", s.channels);
-            println!("connections={}", s.connections);
-            println!("frames_ingest={}", s.frames_ingest);
-            println!("frames_snapshot={}", s.frames_snapshot);
-            println!("frames_verdict={}", s.frames_verdict);
-            println!("frames_merge={}", s.frames_merge);
-            println!("frames_admin={}", s.frames_admin);
-            println!("protocol_errors={}", s.protocol_errors);
-            println!("cache_hits={}", s.cache_hits);
-            println!("cache_misses={}", s.cache_misses);
-            println!("cache_insertions={}", s.cache_insertions);
-            println!("cache_evictions={}", s.cache_evictions);
-            println!("cache_expirations={}", s.cache_expirations);
-            println!("cache_len={}", s.cache_len);
-            println!("cache_capacity={}", s.cache_capacity);
-            println!("checkpoints_written={}", s.checkpoints_written);
-            println!("last_checkpoint_bytes={}", s.last_checkpoint_bytes);
-            println!("since_checkpoint={}", s.since_checkpoint);
-            println!("busy_rejections={}", s.busy_rejections);
-            println!("workers={}", s.workers);
-            for (i, shard) in s.shards.iter().enumerate() {
-                println!(
-                    "shard{i}: channels={} total={} cache_hits={} cache_misses={} \
-                     cache_len={}",
-                    shard.channels,
-                    shard.total,
-                    shard.cache_hits,
-                    shard.cache_misses,
-                    shard.cache_len
-                );
-            }
-            Ok(())
-        }
-        "shutdown" => {
-            client.shutdown().map_err(|e| e.to_string())?;
-            println!("server shutting down");
-            Ok(())
-        }
-        other => Err(format!("unknown call verb `{other}`")),
+/// Connect to `<addr>`, the first positional argument of every `call`
+/// verb.
+fn connect(args: &Args<'_>) -> Result<ServeClient, String> {
+    let addr = args.positional(0).unwrap_or_default();
+    ServeClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))
+}
+
+/// `call <addr> ingest <channel> [<file>]`: stream measurements into a
+/// channel, `--chunk` per INGEST frame.
+fn call_ingest(args: &Args<'_>) -> Result<(), String> {
+    let channel = args
+        .positional(1)
+        .ok_or("call ingest needs <channel> [<file>]")?;
+    let skip: usize = args.get("--skip")?;
+    let chunk: usize = args.get("--chunk")?;
+    if chunk == 0 {
+        return Err("--chunk must be positive".into());
     }
+    let values = measurements(args.positional(2))?.skip(skip);
+    let mut client = connect(args)?;
+    // The --skip prefix is what a restarted server already holds (`call
+    // stats` → total): resending from there makes the resumed feed order
+    // identical to an uninterrupted one.
+    let mut sent = 0u64;
+    let mut last: Option<(u64, u64)> = None;
+    feed_chunks(values.map(|x| x.map(|x| ((), x))), chunk, |_, xs| {
+        let (channel_len, total, snapshots) =
+            client.ingest(channel, xs).map_err(|e| e.to_string())?;
+        sent += xs.len() as u64;
+        last = Some((channel_len, total));
+        snapshots.iter().try_for_each(print_wire_snapshot)
+    })?;
+    match last {
+        Some((channel_len, total)) => outln!(
+            "ingested {sent} measurements into channel {channel} \
+             (channel n={channel_len}, session total={total})"
+        ),
+        None => outln!("ingested 0 measurements into channel {channel}"),
+    }
+}
+
+/// `call <addr> snapshot <channel>`.
+fn call_snapshot(args: &Args<'_>) -> Result<(), String> {
+    let channel = args.positional(1).ok_or("call snapshot needs <channel>")?;
+    let snap = connect(args)?
+        .snapshot(channel)
+        .map_err(|e| e.to_string())?;
+    match snap {
+        Some(snap) => print_wire_snapshot(&snap),
+        None => outln!("no snapshot yet for channel {channel}"),
+    }
+}
+
+/// `call <addr> verdict [--p <p>] [--channel <name>]`.
+fn call_verdict(args: &Args<'_>) -> Result<(), String> {
+    let p: f64 = args.get("--p")?;
+    let response = connect(args)?
+        .verdict(p, args.raw("--channel"))
+        .map_err(|e| e.to_string())?;
+    let Response::Verdicts {
+        p,
+        channels,
+        envelope,
+    } = response
+    else {
+        return Err("unexpected response shape".into());
+    };
+    for (name, outcome) in &channels {
+        match outcome {
+            Ok(v) => {
+                // The raw budget bits ride along so the CI drills can diff
+                // for *bit* identity, not just identical rounding.
+                let budget = v.budget_for(p).unwrap_or(f64::NAN);
+                outln!(
+                    "channel {name} n={} pwcet@{p:e}={budget:.0} bits=0x{:016x} hwm={:.0} iid={}",
+                    v.provenance.n,
+                    budget.to_bits(),
+                    v.high_watermark(),
+                    v.iid.label(),
+                )?;
+            }
+            Err(e) => outln!("channel {name} FAILED: {e}")?,
+        }
+    }
+    match envelope {
+        Ok((worst, budget)) => outln!(
+            "envelope pwcet@{p:e}={budget:.0} bits=0x{:016x} (worst channel: {worst})",
+            budget.to_bits(),
+        ),
+        Err(e) => outln!("envelope UNAVAILABLE: {e}"),
+    }
+}
+
+/// `call <addr> merge <channel> <blob-file>`.
+fn call_merge(args: &Args<'_>) -> Result<(), String> {
+    let (Some(channel), Some(blob_file)) = (args.positional(1), args.positional(2)) else {
+        return Err("call merge needs <channel> <blob-file>".into());
+    };
+    let blob = std::fs::read(blob_file).map_err(|e| format!("cannot open {blob_file}: {e}"))?;
+    let (channel_len, total) = connect(args)?
+        .merge(channel, &blob)
+        .map_err(|e| e.to_string())?;
+    outln!(
+        "merged {blob_file} into channel {channel} \
+         (channel n={channel_len}, session total={total})"
+    )
+}
+
+/// `call <addr> checkpoint`.
+fn call_checkpoint(args: &Args<'_>) -> Result<(), String> {
+    let bytes = connect(args)?.checkpoint().map_err(|e| e.to_string())?;
+    outln!("checkpoint written ({bytes} bytes)")
+}
+
+/// `call <addr> stats`: one `name=value` per line; the CI smoke job
+/// greps these (`grep '^total=' | cut -d= -f2`).
+fn call_stats(args: &Args<'_>) -> Result<(), String> {
+    let s = connect(args)?.stats().map_err(|e| e.to_string())?;
+    outln!("total={}", s.total)?;
+    outln!("channels={}", s.channels)?;
+    outln!("connections={}", s.connections)?;
+    outln!("frames_ingest={}", s.frames_ingest)?;
+    outln!("frames_snapshot={}", s.frames_snapshot)?;
+    outln!("frames_verdict={}", s.frames_verdict)?;
+    outln!("frames_merge={}", s.frames_merge)?;
+    outln!("frames_admin={}", s.frames_admin)?;
+    outln!("protocol_errors={}", s.protocol_errors)?;
+    outln!("cache_hits={}", s.cache_hits)?;
+    outln!("cache_misses={}", s.cache_misses)?;
+    outln!("cache_insertions={}", s.cache_insertions)?;
+    outln!("cache_evictions={}", s.cache_evictions)?;
+    outln!("cache_expirations={}", s.cache_expirations)?;
+    outln!("cache_len={}", s.cache_len)?;
+    outln!("cache_capacity={}", s.cache_capacity)?;
+    outln!("checkpoints_written={}", s.checkpoints_written)?;
+    outln!("last_checkpoint_bytes={}", s.last_checkpoint_bytes)?;
+    outln!("since_checkpoint={}", s.since_checkpoint)?;
+    outln!("busy_rejections={}", s.busy_rejections)?;
+    outln!("workers={}", s.workers)?;
+    for (i, shard) in s.shards.iter().enumerate() {
+        outln!(
+            "shard{i}: channels={} total={} cache_hits={} cache_misses={} cache_len={}",
+            shard.channels,
+            shard.total,
+            shard.cache_hits,
+            shard.cache_misses,
+            shard.cache_len
+        )?;
+    }
+    Ok(())
+}
+
+/// `call <addr> shutdown`.
+fn call_shutdown(args: &Args<'_>) -> Result<(), String> {
+    connect(args)?.shutdown().map_err(|e| e.to_string())?;
+    outln!("server shutting down")
 }
 
 /// `mbpta shard`: fold a measurement campaign into a sealed federated
 /// state blob for `call merge` — the shard ships folded analyzer state,
 /// never raw measurements.
-fn shard_cmd(args: &[String]) -> Result<(), String> {
-    let out = flag_value(args, "--out")?.ok_or("shard needs --out <blob>")?;
-    let shards: usize = parse_flag(args, "--shards", 1)?;
-    let target_p: f64 = parse_flag(args, "--target-p", 1e-12)?;
-    let block: usize = parse_flag(args, "--block", 50)?;
-    let simulate = args.iter().any(|a| a == "--simulate");
-    if !simulate {
-        for flag in ["--runs", "--seed", "--path"] {
-            if args.iter().any(|a| a == flag) {
-                return Err(format!("{flag} requires --simulate"));
-            }
-        }
-    }
+fn shard_cmd(args: &Args<'_>) -> Result<(), String> {
+    let out = args.raw("--out").ok_or("shard needs --out <blob>")?;
+    let shards: usize = args.get("--shards")?;
     let stream = StreamConfig {
-        block_size: block,
-        target_p,
-        sketch: parse_sketch(args)?,
+        block_size: args.get("--block")?,
+        target_p: args.get("--target-p")?,
+        sketch: args.get("--sketch")?,
         ..StreamConfig::default()
     };
     let mut config = FederatedConfig::new(stream, shards);
-    let fed = if simulate {
-        let sim = SimSource::from_args(args, 3000)?;
+    let sim = args
+        .given("--simulate")
+        .then(|| SimSource::from_args(args))
+        .transpose()?;
+    if let Some(sim) = &sim {
         // A known campaign volume balances the shards; the folded state
         // is bit-identical at every shard count regardless.
         config = config.balanced_for(sim.runs);
-        let mut fed = FederatedAnalyzer::new(config).map_err(|e| e.to_string())?;
+    }
+    let mut fed = FederatedAnalyzer::new(config).map_err(|e| e.to_string())?;
+    if let Some(sim) = sim {
         eprintln!(
             "sharding {} simulated runs of TVCA path `{}` over {shards} shard(s) (seed {})",
             sim.runs, sim.mode, sim.seed
         );
-        fed.ingest_trace(
-            PlatformConfig::mbpta_compliant(),
-            &sim.trace,
-            sim.runs,
-            sim.seed,
-        )
-        .map_err(|e| e.to_string())?;
-        fed
+        let platform = PlatformConfig::mbpta_compliant();
+        fed.ingest_trace(platform, &sim.trace, sim.runs, sim.seed)
+            .map_err(|e| e.to_string())?;
     } else {
-        let mut fed = FederatedAnalyzer::new(config).map_err(|e| e.to_string())?;
-        let source: Box<dyn Iterator<Item = Result<f64, String>>> = match positional(args) {
-            Some(file) => {
-                let f =
-                    std::fs::File::open(file).map_err(|e| format!("cannot open {file}: {e}"))?;
-                Box::new(
-                    LineSource::new(std::io::BufReader::new(f))
-                        .map(|r| r.map_err(|e| e.to_string())),
-                )
-            }
-            None => Box::new(
-                LineSource::new(std::io::BufReader::new(std::io::stdin()))
-                    .map(|r| r.map_err(|e| e.to_string())),
-            ),
-        };
-        let mut chunk: Vec<f64> = Vec::with_capacity(FEED_CHUNK);
-        for x in source {
-            chunk.push(x?);
-            if chunk.len() == FEED_CHUNK {
-                fed.push_batch(&chunk).map_err(|e| e.to_string())?;
-                chunk.clear();
-            }
-        }
-        if !chunk.is_empty() {
-            fed.push_batch(&chunk).map_err(|e| e.to_string())?;
-        }
-        fed
-    };
+        let values = measurements(args.positional(0))?.map(|x| x.map(|x| ((), x)));
+        feed_chunks(values, FEED_CHUNK, |_, xs| {
+            fed.push_batch(xs).map(drop).map_err(|e| e.to_string())
+        })?;
+    }
     if fed.is_empty() {
         return Err("shard feed contained no measurements".into());
     }
     let blob = save_federated(&fed);
-    std::fs::write(out, &blob).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    persist::write_atomic(out, &blob).map_err(|e| format!("cannot write {out}: {e}"))?;
+    outln!(
         "wrote sealed federated blob: {} measurements over {shards} shard(s), {} bytes -> {out}",
         fed.len(),
         blob.len(),
-    );
-    Ok(())
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    fn tables() -> impl Iterator<Item = &'static Command> {
+        COMMANDS.iter().chain(CALL_VERBS)
+    }
+
+    #[test]
+    fn usage_and_flag_tables_name_the_same_flags() {
+        let in_usage: BTreeSet<&str> = USAGE
+            .match_indices("--")
+            .map(|(at, _)| {
+                let token = &USAGE[at..];
+                let end = token[2..]
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .map_or(token.len(), |end| end + 2);
+                &token[..end]
+            })
+            .collect();
+        // `--help` is the one flag outside every subcommand.
+        let in_tables: BTreeSet<&str> = tables()
+            .flat_map(|c| c.flags.iter().map(|f| f.name))
+            .chain(["--help"])
+            .collect();
+        assert_eq!(in_usage, in_tables);
+    }
+
+    #[test]
+    fn rules_name_flags_of_their_own_table() {
+        for command in tables() {
+            let names: Vec<&str> = command.flags.iter().map(|f| f.name).collect();
+            for flag in command.flags {
+                let others = flag
+                    .needs
+                    .iter()
+                    .chain(flag.excludes.iter().map(|(o, _)| o));
+                for other in others {
+                    assert!(
+                        names.contains(other),
+                        "{}: {} names {other}, which is not in its table",
+                        command.name,
+                        flag.name
+                    );
+                }
+            }
+        }
+    }
 }

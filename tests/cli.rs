@@ -3,7 +3,8 @@
 //! Uses `CARGO_BIN_EXE_mbpta`, which Cargo points at the freshly built
 //! binary when running integration tests of the defining package.
 
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn mbpta() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mbpta"))
@@ -24,6 +25,179 @@ fn unknown_command_fails_cleanly() {
     let out = mbpta().arg("frobnicate").output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+}
+
+/// Run `mbpta` with `args`, killing it if it is still running after 30 s:
+/// a flag the parser fails to reject could leave `serve` listening.
+fn run_bounded(args: &[&str]) -> Output {
+    let mut child = mbpta()
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("poll").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    child.wait_with_output().expect("wait")
+}
+
+#[test]
+fn cli_rejects_unknown_duplicate_and_misplaced_flags() {
+    // Every row must fail in the parser, before any file is opened, any
+    // measurement is taken or any connection is made. `m.txt` does not
+    // exist: reaching the file would say `cannot open`.
+    let table: &[(&[&str], &str)] = &[
+        // Typos.
+        (
+            &["analyze", "m.txt", "--cutof", "1e-9"],
+            "--cutof is not valid for analyze",
+        ),
+        (
+            &["measure", "--rnus", "10"],
+            "--rnus is not valid for measure",
+        ),
+        (
+            &["shard", "--out", "b.bin", "--shard", "2"],
+            "--shard is not valid for shard",
+        ),
+        // Duplicates.
+        (
+            &["analyze", "m.txt", "--cutoff", "1e-9", "--cutoff", "1e-12"],
+            "--cutoff is given twice",
+        ),
+        (
+            &["stream", "m.txt", "--block", "25", "--block", "50"],
+            "--block is given twice",
+        ),
+        (
+            &["session", "--simulate", "--simulate"],
+            "--simulate is given twice",
+        ),
+        (
+            &["serve", "--workers", "2", "--workers", "3"],
+            "--workers is given twice",
+        ),
+        // Flags of another subcommand.
+        (
+            &["analyze", "m.txt", "--jobs", "4"],
+            "--jobs is not valid for analyze",
+        ),
+        (
+            &["measure", "--block", "50"],
+            "--block is not valid for measure",
+        ),
+        (
+            &["stream", "m.txt", "--batch"],
+            "--batch is not valid for stream",
+        ),
+        (
+            &["serve", "--shards", "2"],
+            "--shards is not valid for serve",
+        ),
+        (
+            &["shard", "m.txt", "--out", "b.bin", "--every", "5"],
+            "--every is not valid for shard",
+        ),
+        (
+            &["call", "127.0.0.1:1", "verdict", "--chunk", "5"],
+            "--chunk is not valid for call verdict",
+        ),
+        (
+            &[
+                "call",
+                "127.0.0.1:1",
+                "ingest",
+                "nominal",
+                "m.txt",
+                "--p",
+                "1e-9",
+            ],
+            "--p is not valid for call ingest",
+        ),
+        // Removed flag.
+        (
+            &["session", "--cache-stats"],
+            "--cache-stats is not valid for session",
+        ),
+    ];
+    for (args, expected) in table {
+        let out = run_bounded(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "`{}` unexpectedly succeeded",
+            args.join(" ")
+        );
+        assert!(
+            stderr.contains(expected),
+            "`{}` stderr missing `{expected}`:\n{stderr}",
+            args.join(" ")
+        );
+        assert!(
+            !stderr.contains("cannot"),
+            "`{}` did I/O before rejecting its flags:\n{stderr}",
+            args.join(" ")
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "`{}` printed to stdout",
+            args.join(" ")
+        );
+    }
+}
+
+#[test]
+fn analyze_reads_a_file_named_like_a_flag_value() {
+    // A positional argument whose text equals a flag's value is still
+    // the positional argument.
+    let out = mbpta()
+        .args(["measure", "--runs", "600", "--seed", "10000000"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let dir = std::env::temp_dir()
+        .join("proxima_cli_test")
+        .join("named_50");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    std::fs::write(dir.join("50"), &out.stdout).expect("write campaign");
+    std::fs::write(dir.join("campaign.txt"), &out.stdout).expect("write campaign");
+
+    let analyze = |file: &str| {
+        let out = mbpta()
+            .current_dir(&dir)
+            .args(["analyze", file, "--block", "50"])
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "analyze {file}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let report = analyze("50");
+    assert!(report.contains("headline budget @ 1e-12"), "{report}");
+    assert_eq!(report, analyze("campaign.txt"));
+}
+
+#[test]
+fn measure_ends_cleanly_when_stdout_closes() {
+    // `mbpta measure | head -1`: a reader closing the pipe early is a
+    // normal end for a filter, not a panic.
+    let mut child = mbpta()
+        .args(["measure", "--runs", "2000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
