@@ -46,44 +46,6 @@ impl Campaign {
         Ok(Campaign { times })
     }
 
-    /// Read a campaign from a reader: one execution time per line (blank
-    /// lines and `#` comments skipped) — the interchange format of
-    /// measurement rigs and of the `mbpta` CLI. Pass `&mut reader` if you
-    /// need the reader back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MbptaError::Stats`] for unparsable lines (reported as
-    /// non-finite data) or an empty file.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use proxima_mbpta::Campaign;
-    ///
-    /// let data = "# cycles\n100\n105.5\n\n103\n";
-    /// let c = Campaign::from_reader(data.as_bytes())?;
-    /// assert_eq!(c.len(), 3);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn from_reader<R: std::io::Read>(reader: R) -> Result<Self, MbptaError> {
-        use std::io::BufRead;
-        let buf = std::io::BufReader::new(reader);
-        let mut times = Vec::new();
-        for line in buf.lines() {
-            let line = line.map_err(|_| MbptaError::Stats(StatsError::NonFiniteData))?;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let value: f64 = line
-                .parse()
-                .map_err(|_| MbptaError::Stats(StatsError::NonFiniteData))?;
-            times.push(value);
-        }
-        Campaign::from_times(times)
-    }
-
     /// Write the campaign in the same one-time-per-line format.
     ///
     /// # Errors
@@ -441,28 +403,6 @@ mod tests {
         assert_eq!(p.times(), &[1.0, 2.0]);
         assert!(c.prefix(5).is_err());
         assert!(c.prefix(0).is_err());
-    }
-
-    #[test]
-    fn reader_round_trip() {
-        let c = Campaign::from_times(vec![100.0, 105.5, 103.0]).unwrap();
-        let mut buf = Vec::new();
-        c.write_to(&mut buf).unwrap();
-        let back = Campaign::from_reader(buf.as_slice()).unwrap();
-        assert_eq!(c, back);
-    }
-
-    #[test]
-    fn reader_skips_comments_and_blanks() {
-        let text = "# header\n\n1\n  2.5 \n# mid\n3\n";
-        let c = Campaign::from_reader(text.as_bytes()).unwrap();
-        assert_eq!(c.times(), &[1.0, 2.5, 3.0]);
-    }
-
-    #[test]
-    fn reader_rejects_garbage_and_empty() {
-        assert!(Campaign::from_reader("abc\n".as_bytes()).is_err());
-        assert!(Campaign::from_reader("# only comments\n".as_bytes()).is_err());
     }
 
     fn striding_loads(n: usize) -> Vec<Inst> {

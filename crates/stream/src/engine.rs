@@ -1,13 +1,17 @@
-//! The streaming [`Engine`] implementation: plugs [`StreamAnalyzer`]
-//! into the multi-channel session core of `proxima-mbpta`.
+//! The streaming [`Engine`] implementations' shared plumbing: plugs
+//! [`StreamAnalyzer`] — alone or sharded — into the multi-channel
+//! session core of `proxima-mbpta`.
 //!
 //! * [`StreamEngine`] adapts one analyzer to the
 //!   [`Engine`] contract, projecting its
 //!   [`PwcetSnapshot`]s into the session's
 //!   [`EngineEstimate`] vocabulary
 //!   and its final state into a [`Verdict`].
+//! * [`FederatedAnalyzer`] is the sharded engine: it routes a channel to
+//!   per-shard analyzers and folds them at [`Engine::finish`].
 //! * [`StreamFactory`] creates one engine per session channel, all
-//!   sharing one [`StreamConfig`].
+//!   sharing one [`EngineConfig`]: a [`StreamConfig`] (the default) for
+//!   [`StreamEngine`]s, a [`FederatedConfig`] for [`FederatedAnalyzer`]s.
 //! * [`SessionStreamExt`] hangs `build_stream` / `build_stream_with` off
 //!   [`SessionBuilder`].
 //!
@@ -20,10 +24,12 @@ use proxima_mbpta::engine::{
     fit_from_maxima, Engine, EngineEstimate, EngineFactory, EngineKind, IidEvidence,
     ObservationSummary, Provenance, Verdict,
 };
+use proxima_mbpta::persist::{seal, unseal, Decode, Encode, Reader, Writer, MAGIC_ENGINE};
 use proxima_mbpta::session::{AnalysisSession, ChannelId};
 use proxima_mbpta::{MbptaError, SessionBuilder};
 
 use crate::analyzer::{PwcetSnapshot, StreamAnalyzer, StreamConfig};
+use crate::federated::{FederatedAnalyzer, FederatedConfig};
 use crate::monitor::{IidHealth, IidStatus};
 
 /// Project the rolling monitor's health into the session-level i.i.d.
@@ -187,66 +193,144 @@ impl Engine for StreamEngine {
     }
 
     fn save_state(&self) -> Result<Vec<u8>, MbptaError> {
-        use proxima_mbpta::persist::{seal, Encode, Writer, MAGIC_ENGINE};
-        let mut w = Writer::new();
-        EngineKind::Stream.encode(&mut w);
-        self.analyzer.encode(&mut w);
-        Ok(seal(MAGIC_ENGINE, w.into_bytes()))
+        Ok(seal_engine(EngineKind::Stream, &self.analyzer))
     }
 }
 
-/// Creates a [`StreamEngine`] per session channel, all sharing one
-/// [`StreamConfig`]. Every channel gets the same bootstrap seed — each
-/// channel resamples its own maxima, so the intervals stay independent
-/// and a single-channel session stays bit-identical to a bare analyzer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamFactory {
-    config: StreamConfig,
+impl Decode for StreamEngine {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, MbptaError> {
+        Ok(StreamEngine {
+            analyzer: StreamAnalyzer::decode(r)?,
+        })
+    }
 }
 
-impl StreamFactory {
+/// Seal an engine's state as [`Engine::save_state`] bytes: the kind tag,
+/// then the state record, under [`MAGIC_ENGINE`].
+pub(crate) fn seal_engine(kind: EngineKind, state: &impl Encode) -> Vec<u8> {
+    let mut w = Writer::new();
+    kind.encode(&mut w);
+    state.encode(&mut w);
+    seal(MAGIC_ENGINE, w.into_bytes())
+}
+
+/// A configuration that names the stream-backed engine it runs, so one
+/// [`StreamFactory`] and one
+/// [`build_stream_with`](SessionStreamExt::build_stream_with) serve
+/// both the single-stream and the sharded engine.
+pub trait EngineConfig: Clone + PartialEq {
+    /// The engine this configuration runs.
+    type Engine: Engine + Decode;
+
+    /// The kind the engine reports and tags its checkpoints with.
+    const KIND: EngineKind;
+
+    /// Validate the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MbptaError::InvalidConfig`] if it is invalid.
+    fn validate(&self) -> Result<(), MbptaError>;
+
+    /// A fresh engine running this configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MbptaError::InvalidConfig`] if it is invalid.
+    fn engine(&self) -> Result<Self::Engine, MbptaError>;
+
+    /// The configuration `engine` runs.
+    fn of(engine: &Self::Engine) -> &Self;
+}
+
+impl EngineConfig for StreamConfig {
+    type Engine = StreamEngine;
+    const KIND: EngineKind = EngineKind::Stream;
+
+    fn validate(&self) -> Result<(), MbptaError> {
+        StreamConfig::validate(self)
+    }
+
+    fn engine(&self) -> Result<StreamEngine, MbptaError> {
+        StreamEngine::new(self.clone())
+    }
+
+    fn of(engine: &StreamEngine) -> &Self {
+        engine.analyzer.config()
+    }
+}
+
+impl EngineConfig for FederatedConfig {
+    type Engine = FederatedAnalyzer;
+    const KIND: EngineKind = EngineKind::Federated;
+
+    fn validate(&self) -> Result<(), MbptaError> {
+        FederatedConfig::validate(self)
+    }
+
+    fn engine(&self) -> Result<FederatedAnalyzer, MbptaError> {
+        FederatedAnalyzer::new(self.clone())
+    }
+
+    fn of(engine: &FederatedAnalyzer) -> &Self {
+        engine.config()
+    }
+}
+
+/// Creates one engine per session channel, all sharing one
+/// configuration: [`StreamEngine`]s for a [`StreamConfig`] (the
+/// default), sharded [`FederatedAnalyzer`]s for a [`FederatedConfig`].
+/// Every channel gets the same bootstrap seed — each channel resamples
+/// its own maxima, so the intervals stay independent and a
+/// single-channel session stays bit-identical to a bare analyzer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamFactory<C = StreamConfig> {
+    config: C,
+}
+
+impl<C: EngineConfig> StreamFactory<C> {
     /// A factory for `config`.
     ///
     /// # Errors
     ///
     /// Returns [`MbptaError::InvalidConfig`] if the configuration is
     /// invalid.
-    pub fn new(config: StreamConfig) -> Result<Self, MbptaError> {
+    pub fn new(config: C) -> Result<Self, MbptaError> {
         config.validate()?;
         Ok(StreamFactory { config })
     }
 
-    /// The shared streaming configuration.
-    pub fn config(&self) -> &StreamConfig {
+    /// The shared configuration.
+    pub fn config(&self) -> &C {
         &self.config
     }
 }
 
-impl EngineFactory for StreamFactory {
-    type Engine = StreamEngine;
+impl<C: EngineConfig> EngineFactory for StreamFactory<C> {
+    type Engine = C::Engine;
 
-    fn create(&self, _channel: &ChannelId) -> Result<StreamEngine, MbptaError> {
-        StreamEngine::new(self.config.clone())
+    fn create(&self, _channel: &ChannelId) -> Result<C::Engine, MbptaError> {
+        self.config.engine()
     }
 
-    fn restore(&self, _channel: &ChannelId, state: &[u8]) -> Result<StreamEngine, MbptaError> {
-        use proxima_mbpta::persist::{unseal, Decode, Reader, MAGIC_ENGINE};
-        let payload = unseal(state, MAGIC_ENGINE)?;
-        let mut r = Reader::new(payload);
+    fn restore(&self, _channel: &ChannelId, state: &[u8]) -> Result<C::Engine, MbptaError> {
+        let mut r = Reader::new(unseal(state, MAGIC_ENGINE)?);
         let kind = EngineKind::decode(&mut r)?;
-        if !matches!(kind, EngineKind::Stream) {
+        if kind != C::KIND {
             return Err(MbptaError::checkpoint(format!(
-                "checkpointed engine is `{kind}`, session expects `stream`"
+                "checkpointed engine is `{kind}`, session expects `{}`",
+                C::KIND
             )));
         }
-        let analyzer = StreamAnalyzer::decode(&mut r)?;
+        let engine = C::Engine::decode(&mut r)?;
         r.finish()?;
-        if *analyzer.config() != self.config {
-            return Err(MbptaError::checkpoint(
-                "checkpointed stream engine configuration does not match the session's",
-            ));
+        if *C::of(&engine) != self.config {
+            return Err(MbptaError::checkpoint(format!(
+                "checkpointed {} engine configuration does not match the session's",
+                C::KIND
+            )));
         }
-        Ok(StreamEngine { analyzer })
+        Ok(engine)
     }
 }
 
@@ -265,15 +349,17 @@ pub trait SessionStreamExt: Sized {
     /// is invalid.
     fn build_stream(self) -> Result<AnalysisSession<StreamFactory>, MbptaError>;
 
-    /// Build a streaming session with explicit streaming knobs.
+    /// Build a streaming session with explicit knobs: a [`StreamConfig`]
+    /// runs one [`StreamEngine`] per channel, a [`FederatedConfig`] one
+    /// sharded [`FederatedAnalyzer`] per channel.
     ///
     /// # Errors
     ///
     /// Returns [`MbptaError::InvalidConfig`] if `config` is invalid.
-    fn build_stream_with(
+    fn build_stream_with<C: EngineConfig>(
         self,
-        config: StreamConfig,
-    ) -> Result<AnalysisSession<StreamFactory>, MbptaError>;
+        config: C,
+    ) -> Result<AnalysisSession<StreamFactory<C>>, MbptaError>;
 }
 
 impl SessionStreamExt for SessionBuilder {
@@ -285,10 +371,10 @@ impl SessionStreamExt for SessionBuilder {
         self.build_stream_with(config)
     }
 
-    fn build_stream_with(
+    fn build_stream_with<C: EngineConfig>(
         self,
-        config: StreamConfig,
-    ) -> Result<AnalysisSession<StreamFactory>, MbptaError> {
+        config: C,
+    ) -> Result<AnalysisSession<StreamFactory<C>>, MbptaError> {
         self.build_with(StreamFactory::new(config)?)
     }
 }

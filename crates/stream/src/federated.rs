@@ -20,25 +20,23 @@
 //! * rolling i.i.d. windows fold into exactly the single monitor's
 //!   window ([`IidMonitor::merge`](crate::monitor::IidMonitor::merge)).
 //!
-//! [`FederatedAnalyzer`] manages the shards and the fold;
-//! [`FederatedEngine`]/[`FederatedFactory`] plug it into the
-//! multi-channel session core so a session channel is backed by shards
-//! transparently (`mbpta session --shards N` is the CLI form). Shards are
-//! fed **contiguous run ranges**: shard `s` owns measurements
-//! `[s·L, (s+1)·L)` (the last shard also takes any overflow), matching
-//! how a real campaign splits its run indices across hosts — and because
-//! per-run seeds come from the master seed's SplitMix64 stream (O(1)
-//! random access), a shard can replay its range independently without
-//! fast-forwarding through anyone else's ([`FederatedAnalyzer::ingest_trace`]).
+//! [`FederatedAnalyzer`] routes the measurements and folds the shards
+//! ([`FederatedAnalyzer::merged`]). It is also the session engine:
+//! [`StreamFactory`](crate::StreamFactory) over a [`FederatedConfig`]
+//! backs every session channel with shards (`mbpta session --shards N`
+//! is the CLI form). The fold is the only verdict, so the engine emits
+//! no intermediate estimates and never reports online convergence: both
+//! would describe shard prefixes, not the union, and make a session
+//! depend on the shard count. Shards are fed **contiguous run ranges**:
+//! shard `s` owns measurements `[s·L, (s+1)·L)` (the last shard also
+//! takes any overflow), matching how a real campaign splits its run
+//! indices across hosts.
 
-use proxima_mbpta::engine::{Engine, EngineEstimate, EngineFactory, EngineKind, Verdict};
-use proxima_mbpta::session::{AnalysisSession, ChannelId};
-use proxima_mbpta::{MbptaError, SessionBuilder};
-use proxima_sim::{Inst, PlatformConfig};
+use proxima_mbpta::engine::{Engine, EngineEstimate, EngineKind, Verdict};
+use proxima_mbpta::MbptaError;
 
-use crate::analyzer::{PwcetSnapshot, StreamAnalyzer, StreamConfig};
-use crate::engine::finish_into_verdict;
-use crate::replay::TraceReplay;
+use crate::analyzer::{StreamAnalyzer, StreamConfig};
+use crate::engine::{finish_into_verdict, seal_engine};
 
 /// Blocks per shard when [`FederatedConfig::shard_len`] is left at 0.
 const DEFAULT_SHARD_BLOCKS: usize = 100;
@@ -130,7 +128,7 @@ impl FederatedConfig {
 /// for &x in &data {
 ///     federated.push(x)?;
 /// }
-/// let sharded = federated.finish()?;
+/// let sharded = federated.merged()?.finish()?;
 ///
 /// let mut single = StreamAnalyzer::new(stream)?;
 /// single.extend(data.iter().copied())?;
@@ -207,79 +205,34 @@ impl FederatedAnalyzer {
             .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
     }
 
-    /// `true` once every shard that received data has converged (and at
-    /// least one has). Convergence of the *fold* is not tracked online —
-    /// shards stream independently; per-shard stability is the federated
-    /// proxy.
-    ///
-    /// **Caveat:** a shard can only converge on the data it sees. With a
-    /// shard length below the per-shard convergence horizon
-    /// (`min_blocks + stable_snapshots × refit_every_blocks` blocks),
-    /// shards never converge and this stays `false` — so
-    /// convergence-gated stopping depends on the shard geometry, unlike
-    /// the fold itself. The CLI therefore rejects `--shards` together
-    /// with `--stop-on-converged`; size `shard_len` generously if you
-    /// gate on this from the library.
-    pub fn converged(&self) -> bool {
-        let mut fed = 0;
-        for shard in &self.shards {
-            if shard.is_empty() {
-                continue;
-            }
-            if !shard.converged() {
-                return false;
-            }
-            fed += 1;
-        }
-        fed > 0
-    }
-
     /// The shard the next measurement is routed to.
     fn active_shard(&self) -> usize {
         (self.n / self.shard_len).min(self.shards.len() - 1)
     }
 
-    /// Measurements this analyzer can ingest before its observable
-    /// outputs ([`converged`](Self::converged), per-shard snapshots) can
-    /// next change: strictly before the active shard's next refit
-    /// checkpoint, and never across a shard handoff (a freshly fed shard
-    /// flips the convergence verdict).
-    pub(crate) fn quiet_horizon(&self) -> usize {
-        let s = self.active_shard();
-        let shard_h = self.shards[s].measurements_until_refit().saturating_sub(1);
-        if s == self.shards.len() - 1 {
-            shard_h
-        } else {
-            shard_h.min((s + 1) * self.shard_len - self.n)
-        }
-    }
-
-    /// Ingest one measurement into its shard. Returns the shard's
-    /// snapshot when this measurement completed one of its refit
-    /// checkpoints.
+    /// Ingest one measurement into its shard.
     ///
     /// # Errors
     ///
     /// Same as [`StreamAnalyzer::push`].
-    pub fn push(&mut self, x: f64) -> Result<Option<PwcetSnapshot>, MbptaError> {
+    pub fn push(&mut self, x: f64) -> Result<(), MbptaError> {
         let s = self.active_shard();
-        let snap = self.shards[s].push(x)?;
+        self.shards[s].push(x)?;
         self.n += 1;
-        Ok(snap)
+        Ok(())
     }
 
     /// Bulk-ingest a slice of measurements, splitting it at the shard
     /// boundaries so each contiguous piece takes its shard's amortized
-    /// [`StreamAnalyzer::push_batch`] path. Snapshots come back in the
-    /// order the itemized loop would have emitted them, and the analyzer
-    /// state — every shard — is bit-identical to it at every batch split.
+    /// [`StreamAnalyzer::push_batch`] path. The analyzer state — every
+    /// shard — is bit-identical to the itemized loop at every batch
+    /// split.
     ///
     /// # Errors
     ///
     /// Same as [`Self::push`]: ingestion stops at the first non-finite or
     /// negative value, with everything before it ingested.
-    pub fn push_batch(&mut self, xs: &[f64]) -> Result<Vec<PwcetSnapshot>, MbptaError> {
-        let mut out = Vec::new();
+    pub fn push_batch(&mut self, xs: &[f64]) -> Result<(), MbptaError> {
         let mut i = 0usize;
         while i < xs.len() {
             let s = self.active_shard();
@@ -293,77 +246,9 @@ impl FederatedAnalyzer {
             // The shard ingested exactly the prefix before any bad value;
             // mirror that into the routing count before propagating.
             self.n += self.shards[s].len() - before;
-            out.extend(result?);
+            result?;
             i += take;
         }
-        Ok(out)
-    }
-
-    /// Replay `runs` executions of `trace` on the simulated platform,
-    /// each shard measuring its own contiguous run range **in parallel**
-    /// (one thread per shard). Run `i` is seeded with the `i`-th element
-    /// of `master_seed`'s SplitMix64 stream — an O(1) random access — so
-    /// every shard starts mid-stream without replaying anyone else's
-    /// runs, and the union is bit-identical to a serial replay.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MbptaError::InvalidConfig`] if the analyzer already
-    /// holds measurements (ranges are assigned from run 0), or a shard's
-    /// ingest error.
-    pub fn ingest_trace(
-        &mut self,
-        platform: PlatformConfig,
-        trace: &[Inst],
-        runs: usize,
-        master_seed: u64,
-    ) -> Result<(), MbptaError> {
-        if self.n != 0 {
-            return Err(MbptaError::InvalidConfig {
-                what: "parallel trace ingest needs a fresh federated analyzer",
-            });
-        }
-        let shard_len = self.shard_len;
-        let last = self.shards.len() - 1;
-        // One shared copy of the trace; shard replays clone the Arc.
-        let trace: std::sync::Arc<[Inst]> = trace.to_vec().into();
-        // proxima-lint: allow(no-thread-spawn-outside-sharding) -- each scoped
-        // worker owns one shard and results are folded in shard index
-        // order, so scheduling cannot reach the output.
-        let outcomes: Vec<Result<(), MbptaError>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(s, analyzer)| {
-                    let start = (s * shard_len).min(runs);
-                    let end = if s == last {
-                        runs
-                    } else {
-                        ((s + 1) * shard_len).min(runs)
-                    };
-                    let platform = platform.clone();
-                    let trace = trace.clone();
-                    scope.spawn(move || {
-                        let replay = TraceReplay::new_shared(platform, trace, end, master_seed)
-                            .starting_at(start as u64);
-                        for x in replay {
-                            analyzer.push(x)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                // proxima-lint: allow(no-lib-panic) -- join() only errs if
-                // the worker itself panicked; this re-raises that panic, it
-                // does not introduce a new failure mode.
-                .map(|w| w.join().expect("shard worker panicked"))
-                .collect()
-        });
-        outcomes.into_iter().collect::<Result<(), _>>()?;
-        self.n = runs;
         Ok(())
     }
 
@@ -385,204 +270,57 @@ impl FederatedAnalyzer {
         }
         Ok(merged)
     }
-
-    /// Fold the shards and force a final refit over the union.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StreamAnalyzer::finish`] on the folded state.
-    pub fn finish(&mut self) -> Result<PwcetSnapshot, MbptaError> {
-        self.merged()?.finish()
-    }
 }
 
-/// A session engine backed by a [`FederatedAnalyzer`]: the channel's
-/// measurements are routed to per-shard analyzers and folded at
-/// [`Engine::finish`].
-///
-/// Federated engines emit **no intermediate estimates** — the global
-/// estimate exists only at fold time (shards stream independently; a
-/// coordinator folds once), which also keeps session reports independent
-/// of the shard count. [`Engine::converged`] reports per-shard stability
-/// ([`FederatedAnalyzer::converged`] — see its caveat on shard sizing
-/// before gating anything on it).
-#[derive(Debug, Clone)]
-pub struct FederatedEngine {
-    analyzer: FederatedAnalyzer,
-}
-
-impl FederatedEngine {
-    /// An engine running `config`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MbptaError::InvalidConfig`] if the configuration is
-    /// invalid.
-    pub fn new(config: FederatedConfig) -> Result<Self, MbptaError> {
-        Ok(FederatedEngine {
-            analyzer: FederatedAnalyzer::new(config)?,
-        })
-    }
-
-    /// The wrapped sharded analyzer.
-    pub fn analyzer(&self) -> &FederatedAnalyzer {
-        &self.analyzer
-    }
-}
-
-impl Engine for FederatedEngine {
+/// The sharded session engine: a channel's measurements are routed to
+/// per-shard analyzers and folded at [`Engine::finish`]. The fold is
+/// final by construction, so there is no intermediate estimate, no
+/// online convergence and no `provenance.converged` — which keeps
+/// session output and early finish independent of the shard count.
+impl Engine for FederatedAnalyzer {
     fn kind(&self) -> EngineKind {
         EngineKind::Federated
     }
 
     fn push(&mut self, x: f64) -> Result<(), MbptaError> {
-        self.analyzer.push(x).map(|_| ())
+        FederatedAnalyzer::push(self, x)
     }
 
     fn push_batch(&mut self, xs: &[f64]) -> Result<(), MbptaError> {
-        self.analyzer.push_batch(xs).map(|_| ())
+        FederatedAnalyzer::push_batch(self, xs)
     }
 
     fn len(&self) -> usize {
-        self.analyzer.len()
+        self.n
     }
 
     fn estimate(&mut self) -> Option<EngineEstimate> {
-        // No online global estimate: per-shard snapshots describe shard
-        // prefixes, not the union, and emitting them would make session
-        // output depend on the shard count.
         None
     }
 
     fn quiet_horizon(&self) -> Option<usize> {
-        Some(self.analyzer.quiet_horizon())
+        // Neither the (absent) estimate nor the convergence verdict ever
+        // changes, so every stretch is quiet.
+        Some(usize::MAX)
     }
 
     fn converged(&self) -> bool {
-        self.analyzer.converged()
+        false
     }
 
     fn finish(&mut self) -> Result<Verdict, MbptaError> {
-        let mut merged = self.analyzer.merged()?;
-        // The fold is final by construction; there is no online
-        // convergence history for the union (provenance.converged stays
-        // `None`).
-        finish_into_verdict(&mut merged, EngineKind::Federated, false)
+        finish_into_verdict(&mut self.merged()?, EngineKind::Federated, false)
     }
 
     fn save_state(&self) -> Result<Vec<u8>, MbptaError> {
-        use proxima_mbpta::persist::{seal, Encode, Writer, MAGIC_ENGINE};
-        let mut w = Writer::new();
-        EngineKind::Federated.encode(&mut w);
-        self.analyzer.encode(&mut w);
-        Ok(seal(MAGIC_ENGINE, w.into_bytes()))
-    }
-}
-
-/// Creates a [`FederatedEngine`] per session channel, all sharing one
-/// [`FederatedConfig`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FederatedFactory {
-    config: FederatedConfig,
-}
-
-impl FederatedFactory {
-    /// A factory for `config`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MbptaError::InvalidConfig`] if the configuration is
-    /// invalid.
-    pub fn new(config: FederatedConfig) -> Result<Self, MbptaError> {
-        config.validate()?;
-        Ok(FederatedFactory { config })
-    }
-
-    /// The shared federated configuration.
-    pub fn config(&self) -> &FederatedConfig {
-        &self.config
-    }
-}
-
-impl EngineFactory for FederatedFactory {
-    type Engine = FederatedEngine;
-
-    fn create(&self, _channel: &ChannelId) -> Result<FederatedEngine, MbptaError> {
-        FederatedEngine::new(self.config.clone())
-    }
-
-    fn restore(&self, _channel: &ChannelId, state: &[u8]) -> Result<FederatedEngine, MbptaError> {
-        use proxima_mbpta::persist::{unseal, Decode, Reader, MAGIC_ENGINE};
-        let payload = unseal(state, MAGIC_ENGINE)?;
-        let mut r = Reader::new(payload);
-        let kind = EngineKind::decode(&mut r)?;
-        if !matches!(kind, EngineKind::Federated) {
-            return Err(MbptaError::checkpoint(format!(
-                "checkpointed engine is `{kind}`, session expects `federated`"
-            )));
-        }
-        let analyzer = FederatedAnalyzer::decode(&mut r)?;
-        r.finish()?;
-        if *analyzer.config() != self.config {
-            return Err(MbptaError::checkpoint(
-                "checkpointed federated engine configuration does not match the session's",
-            ));
-        }
-        Ok(FederatedEngine { analyzer })
-    }
-}
-
-/// Extension trait hanging the federated session builders off
-/// [`SessionBuilder`] (mirrors
-/// [`SessionStreamExt`](crate::engine::SessionStreamExt)).
-pub trait SessionFederatedExt: Sized {
-    /// Build a session running one federated (sharded) streaming engine
-    /// per channel, deriving the per-shard [`StreamConfig`] from the
-    /// builder's batch configuration and target cutoff.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MbptaError::InvalidConfig`] if the derived configuration
-    /// is invalid.
-    fn build_federated(
-        self,
-        shards: usize,
-    ) -> Result<AnalysisSession<FederatedFactory>, MbptaError>;
-
-    /// Build a federated session with explicit knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MbptaError::InvalidConfig`] if `config` is invalid.
-    fn build_federated_with(
-        self,
-        config: FederatedConfig,
-    ) -> Result<AnalysisSession<FederatedFactory>, MbptaError>;
-}
-
-impl SessionFederatedExt for SessionBuilder {
-    fn build_federated(
-        self,
-        shards: usize,
-    ) -> Result<AnalysisSession<FederatedFactory>, MbptaError> {
-        let stream = StreamConfig {
-            target_p: self.target_cutoff(),
-            ..StreamConfig::from_mbpta(self.mbpta_config())
-        };
-        self.build_federated_with(FederatedConfig::new(stream, shards))
-    }
-
-    fn build_federated_with(
-        self,
-        config: FederatedConfig,
-    ) -> Result<AnalysisSession<FederatedFactory>, MbptaError> {
-        self.build_with(FederatedFactory::new(config)?)
+        Ok(seal_engine(EngineKind::Federated, self))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SessionStreamExt;
     use proxima_mbpta::session::Tagged;
     use proxima_mbpta::MbptaConfig;
     use rand::{Rng, SeedableRng};
@@ -648,22 +386,16 @@ mod tests {
                 shard_len: 500,
             };
             let mut itemized = FederatedAnalyzer::new(config.clone()).unwrap();
-            let mut itemized_snaps = Vec::new();
             for &x in &data {
-                itemized_snaps.extend(itemized.push(x).unwrap());
+                itemized.push(x).unwrap();
             }
             let reference = crate::persist::save_federated(&itemized);
             // Splits off, on and straddling the shard boundaries.
             for chunk in [1, 13, 500, 501, 1_250, data.len()] {
                 let mut batched = FederatedAnalyzer::new(config.clone()).unwrap();
-                let mut snaps = Vec::new();
                 for piece in data.chunks(chunk) {
-                    snaps.extend(batched.push_batch(piece).unwrap());
+                    batched.push_batch(piece).unwrap();
                 }
-                assert_eq!(
-                    snaps, itemized_snaps,
-                    "shards {shards} chunk {chunk} snapshots diverged"
-                );
                 assert_eq!(
                     crate::persist::save_federated(&batched),
                     reference,
@@ -711,7 +443,7 @@ mod tests {
             for &x in &data {
                 fed.push(x).unwrap();
             }
-            let merged = fed.merged().unwrap();
+            let mut merged = fed.merged().unwrap();
             assert_eq!(merged.maxima(), single.maxima(), "shards={shards}");
             assert_eq!(
                 merged.high_watermark(),
@@ -723,74 +455,11 @@ mod tests {
                 single.monitor().health(),
                 "shards={shards}"
             );
-            let snap = fed.finish().unwrap();
+            let snap = merged.finish().unwrap();
             assert_eq!(snap.pwcet, single_final.pwcet, "shards={shards}");
             assert_eq!(snap.distribution, single_final.distribution);
             assert_eq!(snap.n, single_final.n);
         }
-    }
-
-    #[test]
-    fn parallel_trace_ingest_matches_serial_routing() {
-        use proxima_workload::tvca::{ControlMode, Tvca, TvcaConfig};
-        let tvca = Tvca::new(TvcaConfig::default());
-        let trace = tvca.trace(ControlMode::Nominal);
-        let config = FederatedConfig::new(stream_config(), 3).balanced_for(900);
-
-        let mut parallel = FederatedAnalyzer::new(config.clone()).unwrap();
-        parallel
-            .ingest_trace(PlatformConfig::mbpta_compliant(), &trace, 900, 77)
-            .unwrap();
-
-        let mut serial = FederatedAnalyzer::new(config).unwrap();
-        for x in TraceReplay::new(PlatformConfig::mbpta_compliant(), trace, 900, 77) {
-            serial.push(x).unwrap();
-        }
-        assert_eq!(parallel.len(), serial.len());
-        for (p, s) in parallel.shards().iter().zip(serial.shards()) {
-            assert_eq!(p.len(), s.len());
-            assert_eq!(p.maxima(), s.maxima());
-            assert_eq!(p.high_watermark(), s.high_watermark());
-        }
-        assert_eq!(
-            parallel.finish().unwrap().pwcet,
-            serial.finish().unwrap().pwcet
-        );
-        // Re-ingesting on a used analyzer is rejected.
-        let tvca2 = Tvca::new(TvcaConfig::default());
-        assert!(parallel
-            .ingest_trace(
-                PlatformConfig::mbpta_compliant(),
-                &tvca2.trace(ControlMode::Nominal),
-                100,
-                1
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn converged_tracks_every_fed_shard() {
-        let config = FederatedConfig {
-            stream: StreamConfig {
-                refit_every_blocks: 2,
-                ..stream_config()
-            },
-            shards: 4,
-            shard_len: 3000,
-        };
-        let mut fed = FederatedAnalyzer::new(config).unwrap();
-        assert!(!fed.converged(), "empty analyzer has no verdict");
-        for x in times(3000, 3) {
-            fed.push(x).unwrap();
-        }
-        // Shard 0 saw a long stationary stream and converged; empty
-        // shards do not block the verdict.
-        assert!(fed.converged());
-        // A shard that only warmed up blocks convergence again.
-        for x in times(100, 4) {
-            fed.push(x).unwrap();
-        }
-        assert!(!fed.converged());
     }
 
     #[test]
@@ -800,7 +469,7 @@ mod tests {
 
         let mut session = MbptaConfig::default()
             .session()
-            .build_federated_with(config.clone())
+            .build_stream_with(config.clone())
             .unwrap();
         for &x in &data {
             session.push(Tagged::new("only", x)).unwrap();
@@ -812,7 +481,7 @@ mod tests {
         for &x in &data {
             bare.push(x).unwrap();
         }
-        let snap = bare.finish().unwrap();
+        let snap = bare.merged().unwrap().finish().unwrap();
         assert_eq!(verdict.pwcet, snap.distribution);
         assert_eq!(verdict.summary.n, data.len());
         assert_eq!(verdict.summary.high_watermark, snap.high_watermark);
@@ -825,7 +494,7 @@ mod tests {
         let mut session = MbptaConfig::default()
             .session()
             .snapshot_every(1)
-            .build_federated_with(FederatedConfig::new(stream_config(), 2))
+            .build_stream_with(FederatedConfig::new(stream_config(), 2))
             .unwrap();
         for x in times(2000, 6) {
             let snap = session.push(Tagged::new("only", x)).unwrap();
@@ -838,7 +507,7 @@ mod tests {
     fn bad_value_quarantines_federated_channel() {
         let mut session = MbptaConfig::default()
             .session()
-            .build_federated_with(FederatedConfig::new(stream_config(), 2))
+            .build_stream_with(FederatedConfig::new(stream_config(), 2))
             .unwrap();
         for x in times(2000, 7) {
             session.push(Tagged::new("good", x)).unwrap();
@@ -850,16 +519,33 @@ mod tests {
     }
 
     #[test]
-    fn build_federated_derives_stream_knobs_from_builder() {
-        use proxima_mbpta::BlockSpec;
-        let session = MbptaConfig {
-            block: BlockSpec::Fixed(30),
-            ..MbptaConfig::default()
+    fn early_finish_verdict_is_the_full_fold_at_every_shard_count() {
+        // A fold never converges online, so early finish cannot freeze a
+        // federated channel on one shard's prefix: the verdict covers the
+        // whole feed at any shard count.
+        let data = times(8000, 8);
+        let stream = StreamConfig {
+            refit_every_blocks: 2,
+            bootstrap: None,
+            ..stream_config()
+        };
+        let verdict = |shards: usize, early: bool| {
+            let mut session = MbptaConfig::default()
+                .session()
+                .early_finish(early)
+                .build_stream_with(FederatedConfig::new(stream.clone(), shards).balanced_for(8000))
+                .unwrap();
+            for &x in &data {
+                session.push(Tagged::new("only", x)).unwrap();
+            }
+            let merged = session.merge();
+            let v = merged.verdict("only").unwrap().as_ref().unwrap().clone();
+            (v.summary.n, v.budget_for(1e-12).unwrap().to_bits())
+        };
+        let reference = verdict(1, false);
+        assert_eq!(reference.0, 8000);
+        for shards in [1, 32] {
+            assert_eq!(verdict(shards, true), reference, "shards={shards}");
         }
-        .session()
-        .target_p(1e-9)
-        .build_federated(2);
-        assert!(session.is_ok());
-        assert!(MbptaConfig::default().session().build_federated(0).is_err());
     }
 }

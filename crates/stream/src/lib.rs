@@ -27,9 +27,9 @@
 //!   — so shards of one campaign can stream independently and combine:
 //!   [`federated::FederatedAnalyzer`] runs N per-shard analyzers over
 //!   contiguous block-aligned run ranges and folds them at finish into a
-//!   pWCET **bit-identical** to the single-stream one;
-//!   `config.session().build_federated(n)` (via [`SessionFederatedExt`])
-//!   backs a session channel with shards transparently.
+//!   pWCET **bit-identical** to the single-stream one. It is a session
+//!   engine too: `config.session().build_stream_with(federated_config)`
+//!   backs every session channel with shards.
 //!
 //! # Examples
 //!
@@ -77,10 +77,8 @@ pub mod replay;
 pub mod sketch;
 
 pub use analyzer::{BootstrapSpec, PwcetSnapshot, StreamAnalyzer, StreamConfig};
-pub use engine::{SessionStreamExt, StreamEngine, StreamFactory};
-pub use federated::{
-    FederatedAnalyzer, FederatedConfig, FederatedEngine, FederatedFactory, SessionFederatedExt,
-};
+pub use engine::{EngineConfig, SessionStreamExt, StreamEngine, StreamFactory};
+pub use federated::{FederatedAnalyzer, FederatedConfig};
 pub use kll::KllSketch;
 pub use monitor::{IidHealth, IidMonitor, IidStatus};
 pub use replay::{ByteLines, LineSource, LineSourceError, TraceReplay};

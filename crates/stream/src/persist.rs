@@ -698,15 +698,15 @@ mod tests {
             fed.push(x).unwrap();
         }
         let blob = save_federated(&fed);
-        let mut restored = load_federated(&blob).unwrap();
+        let restored = load_federated(&blob).unwrap();
         assert_eq!(restored.len(), fed.len());
         assert_eq!(restored.shard_len(), fed.shard_len());
         for (a, b) in fed.shards().iter().zip(restored.shards()) {
             assert_analyzers_identical(a, b);
         }
         assert_eq!(
-            restored.finish().unwrap(),
-            fed.clone().finish().unwrap(),
+            restored.merged().unwrap().finish().unwrap(),
+            fed.merged().unwrap().finish().unwrap(),
             "folded pWCET diverged after restore"
         );
         assert_eq!(save_federated(&load_federated(&blob).unwrap()), blob);

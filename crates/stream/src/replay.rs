@@ -19,7 +19,6 @@
 //! [`StreamAnalyzer`]: crate::analyzer::StreamAnalyzer
 
 use std::io::BufRead;
-use std::sync::Arc;
 
 use proxima_prng::SplitMix64;
 use proxima_sim::{Inst, Platform, PlatformConfig};
@@ -46,9 +45,7 @@ use proxima_workload::tvca::{ControlMode, Tvca, TvcaConfig};
 #[derive(Debug)]
 pub struct TraceReplay {
     platform: Platform,
-    /// Shared, not owned: shard replays of one campaign all read the
-    /// same trace ([`Self::new_shared`]).
-    trace: Arc<[Inst]>,
+    trace: Vec<Inst>,
     master_seed: u64,
     next_run: u64,
     runs: u64,
@@ -59,17 +56,6 @@ impl TraceReplay {
     /// `config`, seeding run `i` with the `i`-th element of
     /// `master_seed`'s SplitMix64 stream.
     pub fn new(config: PlatformConfig, trace: Vec<Inst>, runs: usize, master_seed: u64) -> Self {
-        TraceReplay::new_shared(config, trace.into(), runs, master_seed)
-    }
-
-    /// [`Self::new`] over an already-shared trace — per-shard replays of
-    /// one campaign clone the `Arc`, not the instructions.
-    pub fn new_shared(
-        config: PlatformConfig,
-        trace: Arc<[Inst]>,
-        runs: usize,
-        master_seed: u64,
-    ) -> Self {
         TraceReplay {
             platform: Platform::new(config),
             trace,
@@ -89,17 +75,6 @@ impl TraceReplay {
             runs,
             master_seed,
         )
-    }
-
-    /// Start the replay at run `start` (0-based) instead of run 0,
-    /// yielding runs `start..runs`. Seeds still come from the same
-    /// master stream — `SplitMix64::stream_seed` is an O(1) random
-    /// access — so shard replays over disjoint ranges reproduce exactly
-    /// the runs a single full replay yields, without fast-forwarding.
-    #[must_use]
-    pub fn starting_at(mut self, start: u64) -> Self {
-        self.next_run = start.min(self.runs);
-        self
     }
 
     /// Runs already replayed.
@@ -378,23 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn offset_replay_reproduces_the_suffix_of_a_full_replay() {
-        let trace = striding_loads(150);
-        let full: Vec<f64> =
-            TraceReplay::new(PlatformConfig::mbpta_compliant(), trace.clone(), 60, 42).collect();
-        let suffix: Vec<f64> = TraceReplay::new(PlatformConfig::mbpta_compliant(), trace, 60, 42)
-            .starting_at(40)
-            .collect();
-        assert_eq!(&full[40..], &suffix[..]);
-        // Clamped past the end: empty.
-        let empty: Vec<f64> =
-            TraceReplay::new(PlatformConfig::mbpta_compliant(), striding_loads(10), 5, 1)
-                .starting_at(99)
-                .collect();
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn tvca_replay_produces_positive_times() {
         let times: Vec<f64> =
             TraceReplay::tvca(ControlMode::Nominal, TvcaConfig::default(), 20, 5).collect();
@@ -407,6 +365,17 @@ mod tests {
         let data = "# header\n\n1\n  2.5 \n# mid\n3\n";
         let vals: Result<Vec<f64>, _> = LineSource::new(data.as_bytes()).collect();
         assert_eq!(vals.unwrap(), vec![1.0, 2.5, 3.0]);
+    }
+
+    #[test]
+    fn line_source_reads_back_what_a_campaign_writes() {
+        let campaign = proxima_mbpta::Campaign::from_times(vec![100.0, 105.5, 103.0]).unwrap();
+        let mut buf = Vec::new();
+        campaign.write_to(&mut buf).unwrap();
+        let back: Result<Vec<f64>, _> = LineSource::new(buf.as_slice()).collect();
+        assert_eq!(back.unwrap(), campaign.times());
+        // Comments alone hold no measurement.
+        assert_eq!(LineSource::new("# only comments\n".as_bytes()).count(), 0);
     }
 
     #[test]

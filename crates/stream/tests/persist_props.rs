@@ -164,8 +164,8 @@ proptest! {
             prop_assert_eq!(a.maxima(), b.maxima());
         }
         prop_assert_eq!(
-            uninterrupted.finish().unwrap(),
-            resumed.finish().unwrap()
+            uninterrupted.merged().unwrap().finish().unwrap(),
+            resumed.merged().unwrap().finish().unwrap()
         );
     }
 

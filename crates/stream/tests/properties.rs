@@ -259,7 +259,7 @@ proptest! {
         for &x in &times {
             fed.push(x).unwrap();
         }
-        let sharded = fed.finish().unwrap();
+        let sharded = fed.merged().unwrap().finish().unwrap();
         let rel = (sharded.pwcet / single_final.pwcet - 1.0).abs();
         prop_assert!(rel < 0.01, "shards={shards} rel={rel}");
         // Block-aligned shards make the agreement exact, not just close.

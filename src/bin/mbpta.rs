@@ -30,7 +30,7 @@ use proxima::mbpta::{persist, MbptaError};
 use proxima::prelude::*;
 use proxima::serve::{Response, ServeClient, ServeConfig, Server, WireSnapshot};
 use proxima::stream::replay::{ByteLines, LineSource, TraceReplay};
-use proxima::stream::{FederatedFactory, SketchKind, StreamConfig, StreamFactory};
+use proxima::stream::{SketchKind, StreamConfig, StreamFactory};
 
 const USAGE: &str = "\
 mbpta - measurement-based probabilistic timing analysis
@@ -664,7 +664,8 @@ fn analyze_cmd(args: &Args<'_>) -> Result<(), String> {
     if let Some(n) = args.opt("--block")? {
         config.block = BlockSpec::Fixed(n);
     }
-    let campaign = Campaign::from_reader(open_input(Some(file))?).map_err(|e| e.to_string())?;
+    let times = measurements(Some(file))?.collect::<Result<Vec<f64>, String>>()?;
+    let campaign = Campaign::from_times(times).map_err(|e| e.to_string())?;
 
     if args.given("--cv") {
         let report = analyze_cv(campaign.times(), &config).map_err(|e| e.to_string())?;
@@ -929,14 +930,13 @@ fn session_params(args: &Args<'_>) -> Result<SessionParams, String> {
     if shards > 0 && batch {
         return Err("--shards applies to the streaming engines; drop --batch".into());
     }
-    // Shards fold at the end and only track per-shard stability, which
-    // depends on the shard geometry: convergence-gated stopping would
-    // make the report depend on the shard count, breaking the federated
-    // determinism guarantee. Reject the combination loudly.
+    // A fold has no online convergence: a sharded channel never
+    // converges before the feed ends, so the flag would be inert. Reject
+    // the combination loudly.
     if shards > 0 && stop_on_converged {
         return Err(
-            "--stop-on-converged is not valid with --shards (federated shards fold at the \
-             end; convergence-gated stopping needs the single-stream engines)"
+            "--stop-on-converged is not valid with --shards (a federated fold has no \
+             online convergence; convergence-gated stopping needs the single-stream engines)"
                 .into(),
         );
     }
@@ -1015,7 +1015,7 @@ impl SessionRun<'_> {
                 if let Some((runs, _)) = params.sim {
                     fed = fed.balanced_for(runs);
                 }
-                self.drive(FederatedFactory::new(fed), config, feed)?
+                self.drive(StreamFactory::new(fed), config, feed)?
             }
             EngineKind::Stream => self.drive(StreamFactory::new(stream_config), config, feed)?,
             // `EngineKind` is #[non_exhaustive]: a kind added by a future
@@ -1599,13 +1599,17 @@ fn shard_cmd(args: &Args<'_>) -> Result<(), String> {
             "sharding {} simulated runs of TVCA path `{}` over {shards} shard(s) (seed {})",
             sim.runs, sim.mode, sim.seed
         );
-        let platform = PlatformConfig::mbpta_compliant();
-        fed.ingest_trace(platform, &sim.trace, sim.runs, sim.seed)
+        // The campaign pool measures the runs (bit-identical at any job
+        // count); the shards then take them in run order.
+        let campaign = CampaignRunner::new(PlatformConfig::mbpta_compliant())
+            .run(&sim.trace, sim.runs, sim.seed)
+            .map_err(|e| e.to_string())?;
+        fed.push_batch(campaign.times())
             .map_err(|e| e.to_string())?;
     } else {
         let values = measurements(args.positional(0))?.map(|x| x.map(|x| ((), x)));
         feed_chunks(values, FEED_CHUNK, |_, xs| {
-            fed.push_batch(xs).map(drop).map_err(|e| e.to_string())
+            fed.push_batch(xs).map_err(|e| e.to_string())
         })?;
     }
     if fed.is_empty() {

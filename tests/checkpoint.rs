@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use proxima::mbpta::engine::{BatchFactory, EngineFactory};
 use proxima::mbpta::session::SessionSnapshot;
 use proxima::prelude::*;
-use proxima::stream::{FederatedFactory, StreamFactory};
+use proxima::stream::StreamFactory;
 
 /// Every type with an `impl Encode for …` in the workspace's `persist.rs`
 /// files, by target name. `mbpta-lint`'s `codec-discipline` rule parses
@@ -220,7 +220,7 @@ proptest! {
         let jobs = [1usize, 8][jobs_sel];
         let feed = feed(1_200, seed);
         let config = FederatedConfig::new(stream_config(), shards).balanced_for(1_200);
-        let factory = FederatedFactory::new(config).unwrap();
+        let factory = StreamFactory::new(config).unwrap();
         let (snaps_u, merged_u) = run(factory.clone(), jobs, &feed, None);
         let (snaps_r, merged_r) = run(factory, jobs, &feed, Some(cut));
         // Federated engines emit no intermediate estimates.
@@ -233,7 +233,7 @@ proptest! {
         // property); everything the report prints (pWCET, fit, i.i.d.,
         // high watermark) is exact.
         if shards == 4 {
-            let single = FederatedFactory::new(
+            let single = StreamFactory::new(
                 FederatedConfig::new(stream_config(), 1).balanced_for(1_200),
             )
             .unwrap();
@@ -419,12 +419,12 @@ fn golden_federated_fixture_stays_decodable() {
     }
     let current = save_federated(&fed);
     let bytes = fixture_bytes("federated_v3.bin", &current);
-    let mut decoded = load_federated(&bytes).expect("golden federated fixture must decode");
+    let decoded = load_federated(&bytes).expect("golden federated fixture must decode");
     assert_eq!(decoded.len(), 1500);
     assert_eq!(decoded.shard_count(), 3);
     assert_eq!(
-        decoded.finish().unwrap(),
-        fed.finish().unwrap(),
+        decoded.merged().unwrap().finish().unwrap(),
+        fed.merged().unwrap().finish().unwrap(),
         "fixture fold diverged from the reference"
     );
     assert_eq!(save_federated(&load_federated(&bytes).unwrap()), bytes);

@@ -722,6 +722,24 @@ fn analyze_missing_file_fails() {
 }
 
 #[test]
+fn analyze_names_the_unparsable_line_like_stream_does() {
+    let dir = std::env::temp_dir().join("proxima_cli_test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let file = dir.join("oops.txt");
+    std::fs::write(&file, "# cycles\n100\n101\noops\n102\n").expect("write");
+    let path = file.to_str().expect("utf8 path");
+    for command in ["analyze", "stream"] {
+        let out = mbpta().args([command, path]).output().expect("spawn");
+        assert!(!out.status.success(), "{command} accepted a bad line");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unparsable measurement line 4: `oops`"),
+            "{command}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn analyze_rejects_degenerate_input() {
     let dir = std::env::temp_dir().join("proxima_cli_test");
     std::fs::create_dir_all(&dir).expect("tmpdir");

@@ -47,7 +47,7 @@ fn sharded_sessions_agree_with_single_stream_on_every_tvca_path() {
             let config = FederatedConfig::new(stream_config(), shards).balanced_for(runs);
             let mut session = MbptaConfig::default()
                 .session()
-                .build_federated_with(config)
+                .build_stream_with(config)
                 .expect("valid config");
             {
                 let mut channel = session.channel("path").expect("fresh channel");
@@ -75,18 +75,21 @@ fn sharded_sessions_agree_with_single_stream_on_every_tvca_path() {
 
 #[test]
 fn parallel_shard_ingest_folds_to_the_serial_campaign_verdict() {
-    // Each shard replays its own contiguous run range on its own thread
-    // with O(1) SplitMix64 seed access — the multi-host campaign shape —
-    // and the fold equals the serial single-stream result.
+    // The campaign pool measures the runs in parallel (bit-identical at
+    // any job count), the shards take contiguous run ranges, and the
+    // fold equals the serial single-stream result.
     let runs = 1500;
     let tvca = Tvca::new(TvcaConfig::default());
     let trace = tvca.trace(ControlMode::FaultRecovery);
 
+    let campaign = CampaignRunner::new(PlatformConfig::mbpta_compliant())
+        .with_jobs(2)
+        .run(&trace, runs, 10_000_000)
+        .expect("parallel campaign");
     let config = FederatedConfig::new(stream_config(), 4).balanced_for(runs);
     let mut fed = FederatedAnalyzer::new(config).expect("config");
-    fed.ingest_trace(PlatformConfig::mbpta_compliant(), &trace, runs, 10_000_000)
-        .expect("parallel ingest");
-    let sharded = fed.finish().expect("fold");
+    fed.push_batch(campaign.times()).expect("shard ingest");
+    let sharded = fed.merged().expect("fold").finish().expect("final");
 
     let mut single = StreamAnalyzer::new(stream_config()).expect("config");
     for x in TraceReplay::new(PlatformConfig::mbpta_compliant(), trace, runs, 10_000_000) {
@@ -123,7 +126,7 @@ fn federated_envelope_matches_streaming_envelope() {
 
     let mut federated = MbptaConfig::default()
         .session()
-        .build_federated_with(FederatedConfig::new(stream_config(), 4).balanced_for(runs))
+        .build_stream_with(FederatedConfig::new(stream_config(), 4).balanced_for(runs))
         .expect("config");
     for (t, campaign) in campaigns.iter().enumerate() {
         let mut ch = federated.channel(format!("path{t}")).expect("channel");
@@ -169,7 +172,7 @@ fn kll_sharded_sessions_agree_with_single_stream_at_every_shard_count() {
         let config = FederatedConfig::new(kll_config.clone(), shards).balanced_for(runs);
         let mut session = MbptaConfig::default()
             .session()
-            .build_federated_with(config)
+            .build_stream_with(config)
             .expect("valid config");
         {
             let mut channel = session.channel("path").expect("fresh channel");

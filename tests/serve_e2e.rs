@@ -423,7 +423,7 @@ fn merged_blob_matches_in_process_sharded_session_bitwise() {
 
         // The same feed through the in-process federated session.
         let factory =
-            proxima::stream::FederatedFactory::new(FederatedConfig::new(stream_config(), shards))
+            proxima::stream::StreamFactory::new(FederatedConfig::new(stream_config(), shards))
                 .expect("factory");
         let mut session = MbptaConfig {
             block: BlockSpec::Fixed(stream_config().block_size),
