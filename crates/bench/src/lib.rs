@@ -1,8 +1,10 @@
-//! Shared harness code for the experiment binaries and Criterion benches.
+//! Shared harness code for the experiment binaries.
 //!
-//! Each `exp_*` binary regenerates one table or figure of the paper (see
-//! `DESIGN.md` §4 and `EXPERIMENTS.md`); this library holds the common
-//! campaign plumbing so every experiment uses exactly the same protocol.
+//! Each `exp_*` binary regenerates one table or figure of the paper
+//! (run one with `cargo run --release -p proxima-bench --bin exp_fig2`);
+//! this library holds the common campaign plumbing so every experiment
+//! uses exactly the same protocol. The end-to-end benchmark is the
+//! separate `perfbench/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -67,15 +67,17 @@ pub struct Provenance {
 
 /// Descriptive view of what an engine observed. Batch engines retain the
 /// full vector and attach an exact [`Summary`]; streaming engines report
-/// the exact count/extremes plus a sketch-estimated mean.
+/// the exact count, high watermark and running mean.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObservationSummary {
     /// Measurements observed.
     pub n: usize,
     /// Exact maximum observed execution time (industry's high watermark).
     pub high_watermark: f64,
-    /// Mean of the observations — exact for batch, sketch-estimated for
-    /// streaming engines; `None` if no estimate was available.
+    /// Mean of the observations: exact for batch engines, the exact
+    /// running `sum / n` for streaming engines (a federated fold adds the shard sums, so its
+    /// last bits can differ from the single stream's); `None` if no
+    /// observation arrived.
     pub mean: Option<f64>,
     /// The full descriptive summary, when the engine kept the whole
     /// vector (batch engines only).

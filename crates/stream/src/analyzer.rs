@@ -5,10 +5,9 @@
 //! [`Pipeline::analyze`](proxima_mbpta::Pipeline::analyze) pipeline. It holds **bounded state
 //! only**:
 //!
-//! * a quantile [`Sketch`] for high-watermark / ECDF queries — the GK
-//!   summary ([`QuantileSketch`], `O((1/ε)·log(εn))`) or the KLL summary
-//!   ([`crate::kll::KllSketch`], `O(1/ε)`), selected by
-//!   [`StreamConfig::sketch`];
+//! * a GK [`QuantileSketch`] for ECDF / quantile queries —
+//!   `O((1/ε)·log(εn))`, with the exact count, high watermark and running
+//!   mean beside it;
 //! * an [`IidMonitor`] window — `O(W)`;
 //! * the running maximum of the current block — `O(1)`;
 //! * the block-maxima buffer the Gumbel is refitted on — `O(n/B)`, the
@@ -66,10 +65,8 @@ use proxima_stats::evt::fit_gumbel;
 use proxima_stats::StatsError;
 
 use crate::monitor::{IidHealth, IidMonitor};
-use crate::sketch::{Sketch, SketchKind};
-
-#[cfg(doc)]
 use crate::sketch::QuantileSketch;
+
 #[cfg(doc)]
 use proxima_stats::evt::block_maxima;
 
@@ -118,10 +115,6 @@ pub struct StreamConfig {
     pub monitor_window: usize,
     /// Rank-error bound of the quantile sketch.
     pub sketch_epsilon: f64,
-    /// Which quantile-sketch algorithm to maintain (`--sketch {gk,kll}`):
-    /// GK for a deterministic worst-case bound, KLL for smaller
-    /// summaries whose error does not grow with federation depth.
-    pub sketch: SketchKind,
     /// Per-snapshot bootstrap interval; `None` skips the bootstrap.
     pub bootstrap: Option<BootstrapSpec>,
 }
@@ -138,7 +131,6 @@ impl Default for StreamConfig {
             alpha: 0.05,
             monitor_window: 500,
             sketch_epsilon: 0.001,
-            sketch: SketchKind::Gk,
             bootstrap: Some(BootstrapSpec::default()),
         }
     }
@@ -278,7 +270,7 @@ pub struct PwcetSnapshot {
 #[derive(Debug, Clone)]
 pub struct StreamAnalyzer {
     pub(crate) config: StreamConfig,
-    pub(crate) sketch: Sketch,
+    pub(crate) sketch: QuantileSketch,
     pub(crate) monitor: IidMonitor,
     pub(crate) n: usize,
     pub(crate) current_block_max: f64,
@@ -302,8 +294,7 @@ impl StreamAnalyzer {
     /// invalid.
     pub fn new(config: StreamConfig) -> Result<Self, MbptaError> {
         config.validate()?;
-        let sketch =
-            Sketch::new(config.sketch, config.sketch_epsilon).map_err(MbptaError::Stats)?;
+        let sketch = QuantileSketch::new(config.sketch_epsilon).map_err(MbptaError::Stats)?;
         let monitor = IidMonitor::new(config.monitor_window, config.alpha);
         Ok(StreamAnalyzer {
             config,
@@ -350,7 +341,7 @@ impl StreamAnalyzer {
 
     /// The bounded-memory quantile sketch, for ECDF / quantile queries
     /// over everything ingested so far.
-    pub fn sketch(&self) -> &Sketch {
+    pub fn sketch(&self) -> &QuantileSketch {
         &self.sketch
     }
 
@@ -553,11 +544,9 @@ impl StreamAnalyzer {
     /// after ingesting this analyzer's measurements followed by
     /// `other`'s.
     ///
-    /// * the quantile sketches merge under their algorithm's federated
-    ///   guarantee — the `ε₁+ε₂` additive rank bound for GK
-    ///   ([`QuantileSketch::merge`]), depth-independent error for KLL
-    ///   ([`crate::kll::KllSketch::merge`]) — and count, sum and the
-    ///   high watermark stay exact either way;
+    /// * the quantile sketches merge under the `ε₁+ε₂` additive rank
+    ///   bound ([`QuantileSketch::merge`]), and count, sum and the high
+    ///   watermark stay exact;
     /// * the block-maxima buffers concatenate, and `other`'s trailing
     ///   partial block carries over — so when `other` started at a block
     ///   boundary the merged buffer is **bit-identical** to the single
@@ -590,11 +579,7 @@ impl StreamAnalyzer {
                 what: "stream merge requires the left analyzer to sit on a block boundary",
             });
         }
-        // Config equality above implies equal sketch kinds, so this can
-        // only be Ok — but the kind check stays typed, not assumed.
-        self.sketch
-            .merge(&other.sketch)
-            .map_err(MbptaError::Stats)?;
+        self.sketch.merge(&other.sketch);
         self.monitor.merge(&other.monitor);
         self.maxima.extend_from_slice(&other.maxima);
         self.current_block_max = other.current_block_max;

@@ -49,8 +49,9 @@ pub(crate) fn iid_evidence(health: IidHealth) -> IidEvidence {
 
 /// Finish `analyzer` and assemble the session [`Verdict`] every
 /// stream-backed engine shares: final refit, fit evidence recomputed
-/// from the maxima buffer, sketch-exact summary, rolling i.i.d.
-/// evidence. `provenance.converged` carries the analyzer's online
+/// from the maxima buffer, the summary from the exact count, high
+/// watermark and running `sum / n` kept beside the sketch, rolling
+/// i.i.d. evidence. `provenance.converged` carries the analyzer's online
 /// convergence state when `online_convergence` is set (a federated fold
 /// has no online history and passes `false` → `None`).
 pub(crate) fn finish_into_verdict(

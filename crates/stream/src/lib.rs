@@ -6,9 +6,9 @@
 //! This crate analyses a campaign **while it runs**, in bounded memory:
 //!
 //! * [`StreamAnalyzer`] ingests measurements one at a time (or in
-//!   batches), maintains a quantile sketch — [GK](sketch::QuantileSketch)
-//!   or [KLL](kll::KllSketch), selected by [`SketchKind`]
-//!   — for high-watermark/ECDF queries, rolling i.i.d. diagnostics
+//!   batches), maintains a GK quantile sketch ([`QuantileSketch`]) with
+//!   the exact count, high watermark and running mean kept beside it,
+//!   rolling i.i.d. diagnostics
 //!   ([`monitor::IidMonitor`]: online autocorrelation + runs-test
 //!   windows), and an incremental block-maxima buffer; every `K` new
 //!   blocks it refits the Gumbel tail and emits a [`PwcetSnapshot`] until
@@ -70,7 +70,6 @@
 pub mod analyzer;
 pub mod engine;
 pub mod federated;
-pub mod kll;
 pub mod monitor;
 pub mod persist;
 pub mod replay;
@@ -79,7 +78,6 @@ pub mod sketch;
 pub use analyzer::{BootstrapSpec, PwcetSnapshot, StreamAnalyzer, StreamConfig};
 pub use engine::{EngineConfig, SessionStreamExt, StreamEngine, StreamFactory};
 pub use federated::{FederatedAnalyzer, FederatedConfig};
-pub use kll::KllSketch;
 pub use monitor::{IidHealth, IidMonitor, IidStatus};
 pub use replay::{ByteLines, LineSource, LineSourceError, TraceReplay};
-pub use sketch::{QuantileSketch, Sketch, SketchKind};
+pub use sketch::QuantileSketch;

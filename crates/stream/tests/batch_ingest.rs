@@ -2,7 +2,9 @@
 //! **bit-identical** to folding the per-item `push` — sketch tuples,
 //! monitor window, emitted snapshots and checkpoint bytes — at every
 //! random batch split, `jobs` setting and shard count, and the GK
-//! rank-error bound must survive batched compaction.
+//! rank-error bound must survive batched compaction. One fixed-size gate
+//! pins the point of the batched path: through the full analyzer it
+//! does at least 5× less sketch maintenance than itemized ingest.
 
 use proptest::prelude::*;
 use proxima_mbpta::session::Tagged;
@@ -239,4 +241,45 @@ proptest! {
             _ => unreachable!("builder returns one variant"),
         }
     }
+}
+
+/// The analyzer-level ingest gate. Wall-clock on a shared runner is
+/// noise, so the gate is the sketch's machine-independent tuple
+/// maintenance counter (`QuantileSketch::maintenance_ops`): batched
+/// ingest through the full analyzer (sketch, monitor, block maxima,
+/// refits) must do at least 5× less of it than itemized ingest, and
+/// reach the same checkpoint bytes. The sketch-level gate is the unit
+/// test `batch_insert_does_less_maintenance_work` in `sketch.rs`.
+#[test]
+fn batched_analyzer_ingest_does_5x_less_sketch_maintenance() {
+    use proxima_prng::{RandomSource, SplitMix64};
+    const N: usize = 100_000;
+    const CHUNK: usize = 4096; // the CLI's feed chunk size
+    let mut rng = SplitMix64::new(42);
+    let mut uniform = || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+    let times: Vec<f64> = (0..N)
+        .map(|_| 1e5 + (0..8).map(|_| uniform()).sum::<f64>() * 100.0)
+        .collect();
+    let config = StreamConfig {
+        block_size: 50,
+        refit_every_blocks: 5,
+        sketch_epsilon: 0.001,
+        bootstrap: None, // gate the ingest path, not the bootstrap
+        ..StreamConfig::default()
+    };
+    let mut itemized = StreamAnalyzer::new(config.clone()).unwrap();
+    itemized.extend(times.iter().copied()).unwrap();
+    let mut batched = StreamAnalyzer::new(config).unwrap();
+    for chunk in times.chunks(CHUNK) {
+        batched.push_batch(chunk).unwrap();
+    }
+    assert_eq!(save_analyzer(&batched), save_analyzer(&itemized));
+    let (b, i) = (
+        batched.sketch().maintenance_ops(),
+        itemized.sketch().maintenance_ops(),
+    );
+    assert!(
+        b * 5 <= i,
+        "batched ingest must do ≥5x less sketch maintenance: batched {b} vs itemized {i}"
+    );
 }

@@ -10,13 +10,16 @@
 //!    uninterrupted run: same snapshots, same bootstrap intervals, same
 //!    final pWCET.
 //! 3. **Adversarial robustness** — truncations, single-bit flips, wrong
-//!    magics and wrong version bytes all decode to typed
-//!    `MbptaError::Checkpoint` errors. No panics, no silent misparses.
+//!    magics, wrong version bytes and sketch-kind tags other than GK's
+//!    all decode to typed `MbptaError::Checkpoint` errors. No panics, no
+//!    silent misparses.
 
 use proptest::prelude::*;
 use proxima_mbpta::persist::{Decode, Encode, Reader, Writer, FORMAT_VERSION};
 use proxima_mbpta::MbptaError;
-use proxima_stream::persist::{load_analyzer, load_federated, save_analyzer, save_federated};
+use proxima_stream::persist::{
+    load_analyzer, load_federated, save_analyzer, save_federated, MAGIC_ANALYZER,
+};
 use proxima_stream::{
     FederatedAnalyzer, FederatedConfig, IidMonitor, QuantileSketch, StreamAnalyzer, StreamConfig,
 };
@@ -238,5 +241,78 @@ fn wrong_version_byte_is_rejected_everywhere() {
         let err = load_analyzer(&blob).unwrap_err();
         assert!(matches!(err, MbptaError::Checkpoint { .. }));
         assert!(err.to_string().contains("version"), "{err}");
+    }
+}
+
+#[test]
+fn truncation_at_every_cut_is_a_typed_error() {
+    // Below the sealed envelope: the raw sketch and analyzer payloads cut
+    // at every byte must fail to decode, not panic or decode short.
+    let mut analyzer = StreamAnalyzer::new(stream_config(25, 4)).unwrap();
+    analyzer.extend(campaign(300, 3)).unwrap();
+    let mut w = Writer::new();
+    analyzer.sketch().encode(&mut w);
+    let sketch = w.into_bytes();
+    for cut in 0..sketch.len() {
+        match QuantileSketch::decode(&mut Reader::new(&sketch[..cut])) {
+            Err(MbptaError::Checkpoint { .. }) => {}
+            other => panic!("sketch truncation at {cut}/{} gave {other:?}", sketch.len()),
+        }
+    }
+    let mut w = Writer::new();
+    analyzer.encode(&mut w);
+    let payload = w.into_bytes();
+    for cut in 0..payload.len() {
+        let mut r = Reader::new(&payload[..cut]);
+        match StreamAnalyzer::decode(&mut r).and_then(|_| r.finish()) {
+            Err(MbptaError::Checkpoint { .. }) => {}
+            other => panic!(
+                "analyzer truncation at {cut}/{} gave {other:?}",
+                payload.len()
+            ),
+        }
+    }
+}
+
+#[test]
+fn unknown_sketch_kind_tags_are_typed_errors() {
+    // Format v3 keeps a sketch-kind byte in `StreamConfig` (just before
+    // the bootstrap option) and before the analyzer's sketch record (just
+    // after the config). Only GK's 0 decodes; 1 was the removed KLL
+    // sketch and must say so.
+    let mut analyzer = StreamAnalyzer::new(stream_config(25, 4)).unwrap();
+    analyzer.extend(campaign(300, 5)).unwrap();
+    let mut w = Writer::new();
+    analyzer.config().encode(&mut w);
+    let config = w.into_bytes();
+    let mut w = Writer::new();
+    analyzer.config().bootstrap.encode(&mut w);
+    let config_tag = config.len() - w.into_bytes().len() - 1;
+    let mut w = Writer::new();
+    analyzer.encode(&mut w);
+    let payload = w.into_bytes();
+    let record_tag = config.len();
+    assert_eq!((config[config_tag], payload[record_tag]), (0, 0));
+    for tag in 1..=u8::MAX {
+        let expected = if tag == 1 { "KLL" } else { "sketch kind" };
+        let mut evil = config.clone();
+        evil[config_tag] = tag;
+        let err = StreamConfig::decode(&mut Reader::new(&evil)).unwrap_err();
+        assert!(matches!(err, MbptaError::Checkpoint { .. }), "{err:?}");
+        assert!(
+            err.to_string().contains(expected),
+            "config tag {tag}: {err}"
+        );
+        for at in [config_tag, record_tag] {
+            let mut evil = payload.clone();
+            evil[at] = tag;
+            let blob = proxima_mbpta::persist::seal(MAGIC_ANALYZER, evil);
+            let err = load_analyzer(&blob).unwrap_err();
+            assert!(matches!(err, MbptaError::Checkpoint { .. }), "{err:?}");
+            assert!(
+                err.to_string().contains(expected),
+                "tag {tag} at {at}: {err}"
+            );
+        }
     }
 }

@@ -29,8 +29,9 @@ use proxima::mbpta::engine::{BatchFactory, EngineFactory, EngineKind};
 use proxima::mbpta::{persist, MbptaError};
 use proxima::prelude::*;
 use proxima::serve::{Response, ServeClient, ServeConfig, Server, WireSnapshot};
+use proxima::stream::persist::{read_sketch_tag, write_sketch_tag};
 use proxima::stream::replay::{ByteLines, LineSource, TraceReplay};
-use proxima::stream::{SketchKind, StreamConfig, StreamFactory};
+use proxima::stream::{StreamConfig, StreamFactory};
 
 const USAGE: &str = "\
 mbpta - measurement-based probabilistic timing analysis
@@ -39,18 +40,16 @@ USAGE:
   mbpta analyze <file> [--cutoff <p>] [--alpha <a>] [--block <n>] [--cv] [--csv]
   mbpta measure [--runs <n>] [--seed <s>] [--jobs <j>] [--path <name>]
   mbpta stream [<file>] [--target-p <p>] [--block <n>] [--every <k>]
-               [--sketch <gk|kll>]
                [--simulate] [--runs <n>] [--seed <s>] [--path <name>]
                [--stop-on-converged]
   mbpta session [<file>] [--target-p <p>] [--block <n>] [--every <k>]
-                [--sketch <gk|kll>]
                 [--batch] [--shards <n>] [--jobs <j>] [--stop-on-converged]
                 [--simulate] [--runs <n>] [--seed <s>]
                 [--checkpoint <path> --checkpoint-every <k>]
   mbpta session --resume <path> [<file>] [--jobs <j>]
                 [--checkpoint <path> --checkpoint-every <k>]
   mbpta serve [--addr <host:port>] [--target-p <p>] [--block <n>] [--every <k>]
-              [--sketch <gk|kll>] [--workers <w>] [--max-conns <n>] [--jobs <j>]
+              [--workers <w>] [--max-conns <n>] [--jobs <j>]
               [--cache-capacity <n>] [--cache-ttl <t>]
               [--checkpoint <path> --checkpoint-every <k>]
   mbpta serve --resume <path> [--addr <host:port>] [--workers <w>]
@@ -61,7 +60,6 @@ USAGE:
   mbpta call <addr> merge <channel> <blob-file>
   mbpta call <addr> checkpoint | stats | shutdown
   mbpta shard [<file>] --out <blob> [--shards <n>] [--target-p <p>] [--block <n>]
-              [--sketch <gk|kll>]
               [--simulate] [--runs <n>] [--seed <s>] [--path <name>]
   mbpta --help
 
@@ -112,10 +110,6 @@ OPTIONS (stream):
   --target-p <p>       exceedance cutoff tracked by snapshots   [1e-12]
   --block <n>          block size for block maxima              [50]
   --every <k>          refit every <k> completed blocks         [5]
-  --sketch <gk|kll>    quantile-sketch algorithm: gk (tight
-                       deterministic rank bounds) or kll
-                       (smaller summaries under deep merges);
-                       both are bit-deterministic              [gk]
   --simulate           measure the TVCA live instead of reading
   --runs <n>           simulated runs (with --simulate)         [3000]
   --seed <s>           simulation master seed                   [10000000]
@@ -127,10 +121,6 @@ OPTIONS (session):
   --block <n>          block size for block maxima              [50]
   --every <k>          emit a snapshot every <k> measurements,
                        round-robin across channels (0 = off)    [250]
-  --sketch <gk|kll>    quantile-sketch algorithm for the streaming
-                       engines (not valid with --batch); the report
-                       stays bit-identical at every shard/job
-                       count for both                           [gk]
   --batch              buffer per channel and analyse at the end
                        (default: bounded-memory streaming engines)
   --shards <n>         back each channel with <n> federated stream
@@ -151,7 +141,6 @@ OPTIONS (serve):
   --target-p <p>         exceedance cutoff                    [1e-12]
   --block <n>            block size for block maxima          [50]
   --every <k>            per-channel snapshot cadence         [250]
-  --sketch <gk|kll>      quantile-sketch algorithm            [gk]
   --workers <w>          analysis worker threads; channels are
                          partitioned across workers by name hash,
                          and every response is bit-identical at
@@ -189,9 +178,9 @@ OPTIONS (shard):
   --out <blob>   output file for the sealed federated blob (required)
   --shards <n>   shard count; the folded state is bit-identical
                  for every value                                 [1]
-  --target-p, --block, --sketch, --simulate, --runs, --seed, --path: as
-                 above; the stream configuration (including the sketch
-                 algorithm) must match the server's
+  --target-p, --block, --simulate, --runs, --seed, --path: as
+                 above; the stream configuration must match the
+                 server's
 
 CHECKPOINT / RESUME (session):
   --checkpoint <path>      write a checkpoint of the full session state
@@ -334,7 +323,6 @@ const STREAM: &[Flag] = &[
     value("--target-p", "1e-12"),
     value("--block", "50"),
     value("--every", "5"),
-    value("--sketch", "gk"),
     switch("--simulate"),
     value("--runs", "3000").needs(SIM),
     value("--seed", "10000000").needs(SIM),
@@ -346,7 +334,6 @@ const SESSION: &[Flag] = &[
     value("--target-p", "1e-12").excludes(RESUMED),
     value("--block", "50").excludes(RESUMED),
     value("--every", "250").excludes(RESUMED),
-    value("--sketch", "gk").excludes(&[RESUME, ("--batch", "the batch engine keeps no sketch")]),
     switch("--batch").excludes(RESUMED),
     value("--shards", "0").excludes(RESUMED),
     value("--jobs", "0"),
@@ -365,7 +352,6 @@ const SERVE: &[Flag] = &[
     value("--target-p", "1e-12").excludes(RESUMED),
     value("--block", "50").excludes(RESUMED),
     value("--every", "250").excludes(RESUMED),
-    value("--sketch", "gk").excludes(RESUMED),
     // 1 for a new server; 0 (keep the manifest's count) on resume.
     option("--workers"),
     value("--max-conns", "0"),
@@ -387,7 +373,6 @@ const SHARD: &[Flag] = &[
     value("--shards", "1"),
     value("--target-p", "1e-12"),
     value("--block", "50"),
-    value("--sketch", "gk"),
     switch("--simulate"),
     value("--runs", "3000").needs(SIM),
     value("--seed", "10000000").needs(SIM),
@@ -736,7 +721,6 @@ fn stream_cmd(args: &Args<'_>) -> Result<(), String> {
         block_size: args.get("--block")?,
         refit_every_blocks: args.get("--every")?,
         target_p,
-        sketch: args.get("--sketch")?,
         ..StreamConfig::default()
     };
     // A single-channel session over the streaming engine: polled every
@@ -797,9 +781,6 @@ struct SessionParams {
     target_p: f64,
     every: usize,
     shards: usize,
-    /// Quantile-sketch algorithm of the streaming engines (`--sketch`);
-    /// recorded so a resumed run rebuilds the same engine configuration.
-    sketch: SketchKind,
     stop_on_converged: bool,
     /// `Some((runs, seed))` when the feed is the built-in simulator.
     sim: Option<(usize, u64)>,
@@ -816,7 +797,8 @@ impl SessionParams {
         w.f64(self.target_p);
         w.usize(self.every);
         w.usize(self.shards);
-        persist::Encode::encode(&self.sketch, w);
+        // The sketch-kind byte of format v3; GK is the only sketch.
+        write_sketch_tag(w);
         w.bool(self.stop_on_converged);
         match self.sim {
             None => w.bool(false),
@@ -836,8 +818,9 @@ impl SessionParams {
                 target_p: r.f64()?,
                 every: r.usize()?,
                 shards: r.usize()?,
-                sketch: persist::Decode::decode(r)?,
-                stop_on_converged: r.bool()?,
+                // The v3 sketch-kind byte sits between the shard count
+                // and the stop flag.
+                stop_on_converged: read_sketch_tag(r).and_then(|()| r.bool())?,
                 sim: if r.bool()? {
                     Some((r.usize()?, r.u64()?))
                 } else {
@@ -959,7 +942,6 @@ fn session_params(args: &Args<'_>) -> Result<SessionParams, String> {
         target_p: args.get("--target-p")?,
         every: args.get("--every")?,
         shards,
-        sketch: args.get("--sketch")?,
         stop_on_converged,
         sim: if args.given("--simulate") {
             Some((args.get("--runs")?, args.get("--seed")?))
@@ -997,7 +979,6 @@ impl SessionRun<'_> {
         let stream_config = StreamConfig {
             block_size: params.block,
             target_p: params.target_p,
-            sketch: params.sketch,
             ..StreamConfig::default()
         };
         let (total, merged) = match params.kind {
@@ -1367,7 +1348,6 @@ fn serve_cmd(args: &Args<'_>) -> Result<(), String> {
             stream: StreamConfig {
                 block_size: args.get("--block")?,
                 target_p: args.get("--target-p")?,
-                sketch: args.get("--sketch")?,
                 ..StreamConfig::default()
             },
             snapshot_every: args.get("--every")?,
@@ -1580,7 +1560,6 @@ fn shard_cmd(args: &Args<'_>) -> Result<(), String> {
     let stream = StreamConfig {
         block_size: args.get("--block")?,
         target_p: args.get("--target-p")?,
-        sketch: args.get("--sketch")?,
         ..StreamConfig::default()
     };
     let mut config = FederatedConfig::new(stream, shards);

@@ -39,7 +39,6 @@ const CODEC_COVERAGE: &[&str] = &[
     "IidMonitor",
     "IidReport",
     "IidStatus",
-    "KllSketch",
     "MbptaConfig",
     "MbptaError",
     "ObservationSummary",
@@ -48,8 +47,6 @@ const CODEC_COVERAGE: &[&str] = &[
     "Pwcet",
     "PwcetSnapshot",
     "QuantileSketch",
-    "Sketch",
-    "SketchKind",
     "StatsError",
     "StreamAnalyzer",
     "StreamConfig",
@@ -155,8 +152,8 @@ where
     (snaps, outcomes)
 }
 
-/// Redact the sketch-estimated `mean` from a rendered outcome (used only
-/// by the cross-shard-count comparison; see the comment there).
+/// Redact the running `mean` from a rendered outcome (used only by the
+/// cross-shard-count comparison; see the comment there).
 fn strip_mean(s: &str) -> String {
     match (s.find("mean: "), s.find(", detail:")) {
         (Some(start), Some(end)) if start < end => format!("{}{}", &s[..start], &s[end..]),
@@ -228,7 +225,7 @@ proptest! {
         prop_assert_eq!(&merged_r, &merged_u);
         // Shard-count invariance survives the restart: the resumed
         // 4-shard report equals the uninterrupted 1-shard report. The
-        // sketch *mean* is excluded — summing shard sums re-associates
+        // running *mean* is excluded — summing shard sums re-associates
         // the floating-point addition (last-ulp wiggle, a PR 4
         // property); everything the report prints (pWCET, fit, i.i.d.,
         // high watermark) is exact.
@@ -378,36 +375,17 @@ fn golden_analyzer_fixture_stays_decodable() {
 
 #[test]
 fn golden_kll_analyzer_fixture_stays_decodable() {
-    // Format v3's new byte surface: the `StreamConfig` sketch-kind byte
-    // and the kind-tagged KLL sketch record (levels, coin counter, side
-    // stats). Same shape as the GK analyzer fixture — 1010 samples, a
-    // partial block, bootstrap on — so the two fixtures differ exactly
-    // where the sketch selection bites.
-    let mut reference = StreamAnalyzer::new(StreamConfig {
-        block_size: 25,
-        refit_every_blocks: 4,
-        target_p: 1e-12,
-        sketch: proxima::stream::SketchKind::Kll,
-        ..StreamConfig::default()
-    })
-    .unwrap();
-    reference.extend(campaign(1e5, 1010, 42)).unwrap();
-    let current = save_analyzer(&reference);
-    let bytes = fixture_bytes("analyzer_kll_v3.bin", &current);
-    let decoded = load_analyzer(&bytes).expect("golden KLL analyzer fixture must decode");
-    assert_eq!(decoded.len(), 1010);
-    assert_eq!(
-        decoded.config().sketch,
-        proxima::stream::SketchKind::Kll,
-        "fixture must restore the KLL selection"
+    // A v3 analyzer written with the since-removed KLL sketch (sketch-kind
+    // byte 1). It must keep decoding to a typed error that names KLL —
+    // never a panic, never a misparse as GK. Read directly, not through
+    // `fixture_bytes`, so a fixture regeneration cannot overwrite it.
+    let bytes = std::fs::read(fixture_path("analyzer_kll_v3.bin")).expect("KLL fixture readable");
+    let err = load_analyzer(&bytes).expect_err("KLL state must be rejected");
+    assert!(
+        matches!(err, proxima::mbpta::MbptaError::Checkpoint { .. }),
+        "{err:?}"
     );
-    assert_eq!(decoded.sketch(), reference.sketch());
-    assert_eq!(decoded.maxima(), reference.maxima());
-    assert_eq!(save_analyzer(&decoded), bytes);
-    assert_eq!(
-        current, bytes,
-        "checkpoint format drifted without a version bump"
-    );
+    assert!(err.to_string().contains("KLL"), "{err}");
 }
 
 #[test]

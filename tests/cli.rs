@@ -117,10 +117,26 @@ fn cli_rejects_unknown_duplicate_and_misplaced_flags() {
             ],
             "--p is not valid for call ingest",
         ),
-        // Removed flag.
+        // Removed flags.
         (
             &["session", "--cache-stats"],
             "--cache-stats is not valid for session",
+        ),
+        (
+            &["stream", "m.txt", "--sketch", "gk"],
+            "--sketch is not valid for stream",
+        ),
+        (
+            &["session", "m.txt", "--sketch", "gk"],
+            "--sketch is not valid for session",
+        ),
+        (
+            &["serve", "--sketch", "gk"],
+            "--sketch is not valid for serve",
+        ),
+        (
+            &["shard", "m.txt", "--out", "b.bin", "--sketch", "gk"],
+            "--sketch is not valid for shard",
         ),
     ];
     for (args, expected) in table {
