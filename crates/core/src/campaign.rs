@@ -258,22 +258,16 @@ impl CampaignRunner {
         }
         let total = traces.len() * runs;
         let times = run_sharded(total, self.jobs(), |shard| {
-            // One platform per (shard, trace) stretch; `Platform::run`
-            // flushes and reseeds per run, so a fresh instance is
-            // bit-identical to a reused one.
-            let mut current: Option<(usize, Platform)> = None;
+            // One platform per shard: `Platform::run` flushes and reseeds
+            // per run, so reusing it across traces is bit-identical to a
+            // fresh instance per trace.
+            let mut platform = Platform::new(self.config.clone());
             shard
                 .map(|global| {
                     let t = global / runs;
                     let i = (global % runs) as u64;
-                    if current.as_ref().is_none_or(|(ct, _)| *ct != t) {
-                        current = Some((t, Platform::new(self.config.clone())));
-                    }
                     let trace_seed = SplitMix64::stream_seed(master_seed, t as u64);
                     let seed = SplitMix64::stream_seed(trace_seed, i);
-                    // proxima-lint: allow(no-lib-panic) -- the branch above
-                    // installs a platform whenever `current` is vacant.
-                    let (_, platform) = current.as_mut().expect("platform just installed");
                     platform.run(&traces[t], seed).cycles as f64
                 })
                 .collect()

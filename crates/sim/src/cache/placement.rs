@@ -46,22 +46,35 @@ impl PlacementPolicy {
     /// Panics if `n_sets` is not a power of two (hardware index bits).
     pub fn set_index(self, line: u64, n_sets: u64, seed: u64) -> u64 {
         assert!(n_sets.is_power_of_two(), "n_sets must be a power of two");
-        let idx = line & (n_sets - 1);
-        let window = line / n_sets; // upper address bits
+        self.index(line, n_sets.trailing_zeros(), seed)
+    }
+
+    /// [`PlacementPolicy::set_index`] for `n_sets = 1 << set_bits`, with
+    /// the geometry checked once by the caller instead of per access.
+    pub(crate) fn index(self, line: u64, set_bits: u32, seed: u64) -> u64 {
+        let mask = (1u64 << set_bits) - 1;
+        let idx = line & mask;
         match self {
             PlacementPolicy::Modulo => idx,
             PlacementPolicy::RandomModulo => {
                 // Rotate the window's lines by a window-specific random
                 // offset: lines within a window keep distinct sets.
-                let rot = hash64(seed ^ window.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & (n_sets - 1);
-                (idx + rot) & (n_sets - 1)
+                (idx + window_rotation(line >> set_bits, seed, mask)) & mask
             }
             PlacementPolicy::HashRandom => {
                 // Independent random set per line.
-                hash64(seed ^ line.wrapping_mul(0xD6E8_FEB8_6659_FD93)) & (n_sets - 1)
+                hash64(seed ^ line.wrapping_mul(0xD6E8_FEB8_6659_FD93)) & mask
             }
         }
     }
+}
+
+/// The random-modulo rotation, in `0..=mask`, of alignment window
+/// `window` (the line's upper address bits) under placement seed `seed`.
+/// A pure function of `(window, seed)`, so a cache may compute it once per
+/// window per run.
+pub(crate) fn window_rotation(window: u64, seed: u64, mask: u64) -> u64 {
+    hash64(seed ^ window.wrapping_mul(0x9E37_79B9_7F4A_7C15)) & mask
 }
 
 impl std::fmt::Display for PlacementPolicy {

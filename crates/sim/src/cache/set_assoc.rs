@@ -1,5 +1,6 @@
 //! The set-associative cache structure.
 
+use super::placement::window_rotation;
 use super::{PlacementPolicy, ReplacementPolicy};
 use crate::addr::Addr;
 use proxima_prng::RandomSource;
@@ -42,8 +43,14 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (not power-of-two sets).
+    /// Panics if the geometry is inconsistent (line size or set count not
+    /// a power of two).
     pub fn n_sets(&self) -> u64 {
+        assert!(
+            self.line_size.is_power_of_two(),
+            "cache line size must be a power of two, got {}",
+            self.line_size
+        );
         let sets = self.size_bytes / (self.ways * self.line_size);
         assert!(
             sets.is_power_of_two() && sets > 0,
@@ -103,6 +110,11 @@ impl CacheStats {
     }
 }
 
+/// Entries of the per-run random-modulo rotation memo.
+const ROTATION_MEMO: usize = 64;
+/// log2 of the entries of the line → slot hint table.
+const HINT_BITS: u32 = 10;
+
 /// A set-associative cache with pluggable placement and replacement.
 ///
 /// # Examples
@@ -121,7 +133,11 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    n_sets: u64,
+    /// `log2(line_size)`.
+    line_shift: u32,
+    /// `log2(n_sets)`.
+    set_bits: u32,
+    ways: usize,
     /// `tags[set * ways + way]`: Some(line) if valid.
     tags: Vec<Option<u64>>,
     /// LRU stamps parallel to `tags`.
@@ -132,23 +148,44 @@ pub struct SetAssocCache {
     tick: u64,
     /// Per-run placement seed (set by [`SetAssocCache::reseed`]).
     placement_seed: u64,
+    /// Random-modulo rotations of this run, direct-mapped by window:
+    /// `(window, rotation)`. Cleared by [`SetAssocCache::reseed`].
+    rotations: Vec<Option<(u64, u64)>>,
+    /// Line → slot hints, direct-mapped by a hash of the line. A hint is
+    /// only trusted when `tags[slot]` holds the line; it is recorded from a
+    /// lookup in the line's set under the current seed, and cleared by
+    /// [`SetAssocCache::reseed`], so a verified hint is the slot a full
+    /// lookup would find.
+    hints: Vec<u32>,
     stats: CacheStats,
 }
 
 impl SetAssocCache {
     /// Build an empty cache with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is inconsistent (see [`CacheConfig::n_sets`]).
     pub fn new(config: CacheConfig) -> Self {
         let n_sets = config.n_sets();
         let slots = (n_sets * config.ways) as usize;
+        assert!(
+            u32::try_from(slots).is_ok_and(|s| s < u32::MAX),
+            "cache has too many lines: {slots}"
+        );
         SetAssocCache {
-            config,
-            n_sets,
+            line_shift: config.line_size.trailing_zeros(),
+            set_bits: n_sets.trailing_zeros(),
+            ways: config.ways as usize,
             tags: vec![None; slots],
             stamps: vec![0; slots],
             rr_ptrs: vec![0; n_sets as usize],
             tick: 0,
             placement_seed: 0,
+            rotations: vec![None; ROTATION_MEMO],
+            hints: vec![u32::MAX; 1 << HINT_BITS],
             stats: CacheStats::default(),
+            config,
         }
     }
 
@@ -176,6 +213,13 @@ impl SetAssocCache {
     /// "set a new seed for each experiment" step of the paper's protocol).
     pub fn reseed(&mut self, placement_seed: u64) {
         self.placement_seed = placement_seed;
+        self.rotations.fill(None);
+        self.hints.fill(u32::MAX);
+    }
+
+    /// The line index of `addr`.
+    pub(crate) fn line_of(&self, addr: Addr) -> u64 {
+        addr.raw() >> self.line_shift
     }
 
     /// Access the line containing `addr`.
@@ -190,8 +234,7 @@ impl SetAssocCache {
         is_write: bool,
         rng: &mut R,
     ) -> AccessOutcome {
-        let line = addr.line(self.config.line_size);
-        self.access_line(line, is_write, rng)
+        self.access_line(self.line_of(addr), is_write, rng)
     }
 
     /// Access by pre-computed line index (used by the pipeline fast path).
@@ -201,21 +244,22 @@ impl SetAssocCache {
         is_write: bool,
         rng: &mut R,
     ) -> AccessOutcome {
-        let set = self
-            .config
-            .placement
-            .set_index(line, self.n_sets, self.placement_seed);
-        let base = (set * self.config.ways) as usize;
-        let ways = self.config.ways as usize;
         self.tick += 1;
+        let hint = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - HINT_BITS)) as usize;
+        let slot = self.hints[hint] as usize;
+        if self.tags.get(slot) == Some(&Some(line)) {
+            return self.hit(slot);
+        }
 
-        // Lookup.
-        for way in 0..ways {
-            if self.tags[base + way] == Some(line) {
-                self.stamps[base + way] = self.tick;
-                self.stats.hits += 1;
-                return AccessOutcome::Hit;
-            }
+        let set = self.set_of(line);
+        let base = set * self.ways;
+        let ways = self.ways;
+        if let Some(way) = self.tags[base..base + ways]
+            .iter()
+            .position(|&t| t == Some(line))
+        {
+            self.hints[hint] = (base + way) as u32;
+            return self.hit(base + way);
         }
         self.stats.misses += 1;
 
@@ -227,28 +271,56 @@ impl SetAssocCache {
                 .unwrap_or_else(|| {
                     self.config.replacement.victim(
                         &self.stamps[base..base + ways],
-                        &mut self.rr_ptrs[set as usize],
+                        &mut self.rr_ptrs[set],
                         rng,
                     )
                 });
             self.tags[base + victim] = Some(line);
             self.stamps[base + victim] = self.tick;
+            self.hints[hint] = (base + victim) as u32;
         }
         AccessOutcome::Miss {
             allocated: allocate,
         }
     }
 
+    fn hit(&mut self, slot: usize) -> AccessOutcome {
+        self.stamps[slot] = self.tick;
+        self.stats.hits += 1;
+        AccessOutcome::Hit
+    }
+
+    /// The set of `line` under the current placement seed; random-modulo
+    /// rotations come from the per-run memo.
+    fn set_of(&mut self, line: u64) -> usize {
+        let placement = self.config.placement;
+        if placement != PlacementPolicy::RandomModulo {
+            return placement.index(line, self.set_bits, self.placement_seed) as usize;
+        }
+        let mask = (1u64 << self.set_bits) - 1;
+        let window = line >> self.set_bits;
+        let entry = &mut self.rotations[window as usize % ROTATION_MEMO];
+        let rot = match *entry {
+            Some((w, rot)) if w == window => rot,
+            _ => {
+                let rot = window_rotation(window, self.placement_seed, mask);
+                *entry = Some((window, rot));
+                rot
+            }
+        };
+        (((line & mask) + rot) & mask) as usize
+    }
+
     /// `true` if the line containing `addr` is currently cached (no state
     /// change, no statistics impact).
     pub fn probe(&self, addr: Addr) -> bool {
-        let line = addr.line(self.config.line_size);
+        let line = self.line_of(addr);
         let set = self
             .config
             .placement
-            .set_index(line, self.n_sets, self.placement_seed);
-        let base = (set * self.config.ways) as usize;
-        (0..self.config.ways as usize).any(|w| self.tags[base + w] == Some(line))
+            .index(line, self.set_bits, self.placement_seed);
+        let base = set as usize * self.ways;
+        self.tags[base..base + self.ways].contains(&Some(line))
     }
 }
 
@@ -441,5 +513,18 @@ mod tests {
         assert_eq!(s.accesses(), 40);
         assert!((s.miss_ratio() - 0.25).abs() < 1e-15);
         assert_eq!(CacheStats::default().miss_ratio(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_line_size_panics_at_construction() {
+        // 48-byte lines × 1 way × 128 sets: a power-of-two set count, but
+        // line numbers would not be a shift of the address.
+        SetAssocCache::new(CacheConfig {
+            size_bytes: 48 * 128,
+            ways: 1,
+            line_size: 48,
+            ..CacheConfig::default()
+        });
     }
 }

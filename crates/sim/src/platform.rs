@@ -185,6 +185,27 @@ impl Platform {
     /// caches and TLBs are flushed, the PRNG is reseeded from `seed`
     /// (independent per-resource streams are derived from it), and the
     /// program runs to completion.
+    ///
+    /// Every instruction costs `base_cpi` plus its stalls: an ITLB walk on
+    /// an ITLB miss, a bus + DRAM transaction on an IL1 miss (IL1 is looked
+    /// up once per fetch line, and again after a taken branch), the
+    /// kind's fixed extra or FPU latency, and for loads and stores a DTLB
+    /// walk on a DTLB miss plus, for a load that misses DL1, a bus + DRAM
+    /// transaction. The loop does state-changing work only where state can
+    /// change, with results identical to a lookup per instruction:
+    ///
+    /// * A run of fetches from the page of the last ITLB access is one ITLB
+    ///   access plus a count of hits, credited before the next ITLB access
+    ///   and at the end of the run. A hit draws nothing from the RNG and
+    ///   only refreshes its entry's stamp, so under LRU, round-robin and
+    ///   random replacement alike the ITLB ends in the same state.
+    /// * Line and page numbers are shifts fixed when the platform is built.
+    /// * The caches memoize each window's random-modulo rotation per run,
+    ///   and the caches and TLBs look a line or page up at a remembered slot
+    ///   first, trusting it only if the slot holds that line or page.
+    ///
+    /// RNG draws (victims on misses in full sets, bus arbitration on L1
+    /// misses) happen in the same order as in a per-instruction loop.
     pub fn run(&mut self, trace: &[Inst], seed: u64) -> RunResult {
         // Protocol: "We flush caches, reset the FPGA and reload the
         // executable across executions … We also set a new seed for each
@@ -201,21 +222,30 @@ impl Platform {
 
         let t = self.config.timing;
         let mem_latency_base = self.config.dram.access_latency();
-        let line_size = self.config.il1.line_size;
 
         let mut cycles: u64 = 0;
         let mut stats = RunStats::default();
         let mut fetch_line_hot: Option<u64> = None;
+        // The page of the last ITLB access, and the fetches from it since.
+        let mut itlb_page: Option<u64> = None;
+        let mut itlb_hits: u64 = 0;
 
         for inst in trace {
             cycles += t.base_cpi;
-            stats.instructions += 1;
 
             // --- Fetch: ITLB, then IL1 (once per line for sequential code).
-            if !self.itlb.access(inst.pc, &mut rng) {
-                cycles += t.tlb_walk_cycles;
+            let page = self.itlb.page_of(inst.pc);
+            if itlb_page == Some(page) {
+                itlb_hits += 1;
+            } else {
+                self.itlb.credit_hits(itlb_hits);
+                itlb_hits = 0;
+                itlb_page = Some(page);
+                if !self.itlb.access_page(page, &mut rng) {
+                    cycles += t.tlb_walk_cycles;
+                }
             }
-            let fetch_line = inst.pc.line(line_size);
+            let fetch_line = self.il1.line_of(inst.pc);
             if fetch_line_hot != Some(fetch_line) {
                 fetch_line_hot = Some(fetch_line);
                 if !self.il1.access_line(fetch_line, false, &mut rng).is_hit() {
@@ -231,11 +261,9 @@ impl Platform {
                 InstKind::IntMul => cycles += t.int_mul_extra,
                 InstKind::IntDiv => cycles += t.int_div_extra,
                 InstKind::Branch { taken } => {
-                    if taken {
-                        cycles += t.taken_branch_extra;
-                    }
                     // A taken branch redirects the fetch stream.
                     if taken {
+                        cycles += t.taken_branch_extra;
                         fetch_line_hot = None;
                     }
                 }
@@ -280,7 +308,9 @@ impl Platform {
                 }
             }
         }
+        self.itlb.credit_hits(itlb_hits);
 
+        stats.instructions = trace.len() as u64;
         stats.il1 = {
             let s = self.il1.stats();
             (s.hits, s.misses)

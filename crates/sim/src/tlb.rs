@@ -53,24 +53,49 @@ impl Default for TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
+    /// `log2(page_size)`.
+    page_shift: u32,
     pages: Vec<Option<u64>>,
     stamps: Vec<u64>,
     rr_ptr: usize,
     tick: u64,
     hits: u64,
     misses: u64,
+    /// The entry of the most recent access (the one [`Tlb::credit_hits`]
+    /// refreshes).
+    last: usize,
+    /// Page → entry hints, direct-mapped by a hash of the page. A page sits
+    /// in at most one entry, so a hint whose entry holds the page is the
+    /// entry a full scan would find; stale hints fail that check.
+    hints: Vec<usize>,
 }
+
+/// log2 of the entries of the page → entry hint table.
+const HINT_BITS: u32 = 8;
 
 impl Tlb {
     /// Build an empty TLB.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_size` is not a power of two or there are no entries.
     pub fn new(config: TlbConfig) -> Self {
+        assert!(
+            config.page_size.is_power_of_two(),
+            "TLB page size must be a power of two, got {}",
+            config.page_size
+        );
+        assert!(config.entries > 0, "a TLB needs at least one entry");
         Tlb {
+            page_shift: config.page_size.trailing_zeros(),
             pages: vec![None; config.entries],
             stamps: vec![0; config.entries],
             rr_ptr: 0,
             tick: 0,
             hits: 0,
             misses: 0,
+            last: 0,
+            hints: vec![0; 1 << HINT_BITS],
             config,
         }
     }
@@ -95,29 +120,64 @@ impl Tlb {
         self.misses = 0;
     }
 
+    /// The page number of `addr`.
+    pub(crate) fn page_of(&self, addr: Addr) -> u64 {
+        addr.raw() >> self.page_shift
+    }
+
     /// Translate `addr`; returns `true` on a TLB hit. On a miss the page is
     /// installed, evicting a victim chosen by the replacement policy.
     pub fn access<R: RandomSource + ?Sized>(&mut self, addr: Addr, rng: &mut R) -> bool {
-        let page = addr.page(self.config.page_size);
+        self.access_page(self.page_of(addr), rng)
+    }
+
+    /// [`Tlb::access`] by page number.
+    pub(crate) fn access_page<R: RandomSource + ?Sized>(&mut self, page: u64, rng: &mut R) -> bool {
         self.tick += 1;
-        for i in 0..self.pages.len() {
-            if self.pages[i] == Some(page) {
-                self.stamps[i] = self.tick;
+        let hint = (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - HINT_BITS)) as usize;
+        let hinted = self.hints[hint];
+        let entry = if self.pages[hinted] == Some(page) {
+            Some(hinted)
+        } else {
+            self.pages.iter().position(|&p| p == Some(page))
+        };
+        let (entry, hit) = match entry {
+            Some(i) => {
                 self.hits += 1;
-                return true;
+                (i, true)
             }
+            None => {
+                self.misses += 1;
+                let victim = self
+                    .pages
+                    .iter()
+                    .position(Option::is_none)
+                    .unwrap_or_else(|| {
+                        self.config
+                            .replacement
+                            .victim(&self.stamps, &mut self.rr_ptr, rng)
+                    });
+                self.pages[victim] = Some(page);
+                (victim, false)
+            }
+        };
+        self.stamps[entry] = self.tick;
+        self.hints[hint] = entry;
+        self.last = entry;
+        hit
+    }
+
+    /// Record `k` further hits on the entry of the most recent access,
+    /// exactly as `k` more [`Tlb::access`] calls to that page would: a hit
+    /// only advances the tick, counts, and refreshes the entry's stamp (it
+    /// never draws from the RNG), so the `k` refreshes leave one stamp, the
+    /// final tick.
+    pub(crate) fn credit_hits(&mut self, k: u64) {
+        if k > 0 {
+            self.tick += k;
+            self.hits += k;
+            self.stamps[self.last] = self.tick;
         }
-        self.misses += 1;
-        let victim = (0..self.pages.len())
-            .find(|&i| self.pages[i].is_none())
-            .unwrap_or_else(|| {
-                self.config
-                    .replacement
-                    .victim(&self.stamps, &mut self.rr_ptr, rng)
-            });
-        self.pages[victim] = Some(page);
-        self.stamps[victim] = self.tick;
-        false
     }
 }
 
@@ -195,5 +255,14 @@ mod tests {
         tlb.flush();
         assert_eq!(tlb.stats(), (0, 0));
         assert!(!tlb.access(Addr::new(0x5000), &mut rng));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_page_size_panics_at_construction() {
+        Tlb::new(TlbConfig {
+            page_size: 3000,
+            ..TlbConfig::default()
+        });
     }
 }
